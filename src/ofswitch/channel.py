@@ -28,7 +28,9 @@ from .errors import (
     DesyncError,
     HelloFailed,
     OverlapError,
+    ParseError,
     StatefulError,
+    SwitchError,
 )
 
 _ERROR_PREFIX_LEN = 64  # how much of the offending message an Error echoes back
@@ -46,6 +48,7 @@ _ERROR_MAP = [
     (BadPort, (m.OFPET_BAD_ACTION, 4)),
     (StatefulError, (m.OFPET_EXPERIMENTER, 1)),
     (CodecError, (m.OFPET_BAD_REQUEST, m.OFPBRC_BAD_LEN)),
+    (ParseError, (m.OFPET_BAD_REQUEST, m.OFPBRC_BAD_PACKET)),
 ]
 
 
@@ -139,8 +142,7 @@ class SwitchConnection:
         reply = None
         try:
             reply = self._dispatch(msg)
-        except (CodecError, BadTableId, OverlapError, BadInstruction, BadMatch,
-                BadGroupId, BadMeterId, BadPort, StatefulError) as exc:
+        except SwitchError as exc:
             err_type, code = _error_for(exc)
             reply = m.Error(err_type, code, raw[:_ERROR_PREFIX_LEN])
         if reply is not None:

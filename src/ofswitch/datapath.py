@@ -139,7 +139,7 @@ class Datapath:
             entry = FlowEntry(
                 match=fm.match,
                 priority=fm.priority,
-                instructions=list(fm.instructions),
+                instructions=fm.instructions,
                 idle_timeout=fm.idle_timeout,
                 hard_timeout=fm.hard_timeout,
                 cookie=fm.cookie,
@@ -161,7 +161,7 @@ class Datapath:
             table = self._table(fm.table_id)
             strict = cmd == m.OFPFC_MODIFY_STRICT
             for e in table.select(fm.match, strict, fm.priority, fm.cookie, fm.cookie_mask):
-                e.instructions = list(fm.instructions)
+                e.instructions = fm.instructions
                 e.validate_instructions(fm.table_id, self.n_tables)
             return
         if cmd in (m.OFPFC_DELETE, m.OFPFC_DELETE_STRICT):
@@ -447,12 +447,10 @@ class Datapath:
         if g.group_type == m.OFPGT_ALL:
             g.packet_count += 1
             g.byte_count += len(handle)
-            for i, b in enumerate(g.buckets):
+            for i in range(len(g.buckets)):
                 clone = handle.clone()
                 clone.action_set = ActionSet()
-                g.bucket_packet_counts[i] += 1
-                g.bucket_byte_counts[i] += len(clone)
-                self._execute_actions(b.actions, clone, res, entry, now, depth + 1)
+                self._run_bucket(g, i, clone, res, entry, now, depth)
             return
         if g.group_type == m.OFPGT_SELECT:
             live_ix = [i for i, b in enumerate(g.buckets) if self.groups.bucket_live(b, live)]
@@ -463,27 +461,27 @@ class Datapath:
             g.rr_cursor = (g.rr_cursor + 1) % len(live_ix)
             g.packet_count += 1
             g.byte_count += len(handle)
-            g.bucket_packet_counts[i] += 1
-            g.bucket_byte_counts[i] += len(handle)
-            self._execute_actions(g.buckets[i].actions, handle, res, entry, now, depth + 1)
+            self._run_bucket(g, i, handle, res, entry, now, depth)
             return
         if g.group_type == m.OFPGT_INDIRECT:
             g.packet_count += 1
             g.byte_count += len(handle)
-            g.bucket_packet_counts[0] += 1
-            g.bucket_byte_counts[0] += len(handle)
-            self._execute_actions(g.buckets[0].actions, handle, res, entry, now, depth + 1)
+            self._run_bucket(g, 0, handle, res, entry, now, depth)
             return
         if g.group_type == m.OFPGT_FF:
             for i, b in enumerate(g.buckets):
                 if self.groups.bucket_live(b, live):
                     g.packet_count += 1
                     g.byte_count += len(handle)
-                    g.bucket_packet_counts[i] += 1
-                    g.bucket_byte_counts[i] += len(handle)
-                    self._execute_actions(b.actions, handle, res, entry, now, depth + 1)
+                    self._run_bucket(g, i, handle, res, entry, now, depth)
                     return
             g.no_bucket_drops += 1  # all watches down: drop, no controller involved
+
+    def _run_bucket(self, g, i: int, handle, res, entry, now, depth) -> None:
+        """Count one packet through bucket ``i`` of group ``g`` and run its actions."""
+        g.bucket_packet_counts[i] += 1
+        g.bucket_byte_counts[i] += len(handle)
+        self._execute_actions(g.buckets[i].actions, handle, res, entry, now, depth + 1)
 
     def packet_out(self, po: m.PacketOut) -> PipelineResult:
         """Inject a controller-supplied frame and run its action list."""
@@ -492,7 +490,7 @@ class Datapath:
         handle.action_set = ActionSet()
         self.packets_processed += 1
         res = PipelineResult()
-        actions = list(po.actions)
+        actions = po.actions
         if any(isinstance(a, m.OutputAction) and a.port == m.OFPP_TABLE for a in actions):
             actions = [a for a in actions
                        if not (isinstance(a, m.OutputAction) and a.port == m.OFPP_TABLE)]
@@ -522,7 +520,7 @@ class Datapath:
                         table.table_id, int(dur), int((dur % 1) * 1e9),
                         e.priority, e.idle_timeout, e.hard_timeout, e.flags,
                         e.cookie, e.packet_count, e.byte_count, e.match,
-                        list(e.instructions),
+                        e.instructions,
                     )
                 )
         return out

@@ -45,6 +45,7 @@ Exit codes: 0 success, 1 switch reported an error, 2 bad usage,
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import sys
@@ -95,6 +96,7 @@ _FLOW_FLAGS = {
     "send_flow_rem": m.OFPFF_SEND_FLOW_REM,
     "check_overlap": m.OFPFF_CHECK_OVERLAP,
 }
+_METER_FLAGS = {"kbps": m.OFPMF_KBPS, "pktps": m.OFPMF_PKTPS, "burst": m.OFPMF_BURST}
 
 
 def _int(token: str, text: str) -> int:
@@ -121,8 +123,17 @@ def _parse_key(token: str, text: str) -> bytes:
         raise UsageError(f"{token!r}: cannot parse key {text!r}") from None
 
 
-def _parse_match_value(name: str, text: str):
-    """`FIELD=VALUE[/MASK]` right-hand side; masks for maskable fields."""
+def _parse_flags(table: dict, text: str, what: str) -> int:
+    flags = 0
+    for name in text.split(","):
+        if name not in table:
+            raise UsageError(f"unknown {what} {name!r}")
+        flags |= table[name]
+    return flags
+
+
+def _parse_match_field(name: str, text: str):
+    """`FIELD=VALUE[/MASK]` as a match field; masks for maskable fields."""
     if "/" in text:
         value, mask = text.split("/", 1)
         if mask.isdigit() and "." in value:  # prefix-length shorthand for addresses
@@ -132,8 +143,8 @@ def _parse_match_value(name: str, text: str):
                 raise UsageError(f"prefix /{bits} out of range for {name}")
             mask_int = ((1 << bits) - 1) << (width - bits) if bits else 0
             mask = mask_int.to_bytes(width // 8, "big")
-        return (_coerce(value), _coerce(mask))
-    return _coerce(text)
+        return make_field(name, _coerce(value), _coerce(mask))
+    return make_field(name, _coerce(text))
 
 
 def _coerce(text):
@@ -265,15 +276,14 @@ def _build_body(verb: str, tokens: list[str]):
             if key == "table":
                 table_id = _int(t, value)
             elif key in FIELDS:
-                v = _parse_match_value(key, value)
-                match.add(make_field(key, *v) if isinstance(v, tuple) else make_field(key, v))
+                match.add(_parse_match_field(key, value))
             else:
                 raise UsageError(f"unknown token {t!r}")
         return m.MultipartRequest(m.OFPMP_FLOW, m.FlowStatsRequest(table_id, match=match))
     if verb == "stats-port":
         opts = _opts(tokens)
         port = _parse_port("port", opts.pop("port")) if "port" in opts else m.OFPP_ANY
-        _reject_unknown(opts, ())
+        _reject_unknown(opts)
         return m.MultipartRequest(m.OFPMP_PORT_STATS, m.PortStatsRequest(port))
     if verb == "port-desc":
         if tokens:
@@ -282,12 +292,12 @@ def _build_body(verb: str, tokens: list[str]):
     if verb == "stats-group":
         opts = _opts(tokens)
         gid = _int("group", opts.pop("group")) if "group" in opts else m.OFPG_ALL
-        _reject_unknown(opts, ())
+        _reject_unknown(opts)
         return m.MultipartRequest(m.OFPMP_GROUP, m.GroupStatsRequest(gid))
     if verb == "stats-meter":
         opts = _opts(tokens)
         mid = _int("meter", opts.pop("meter")) if "meter" in opts else 0xFFFFFFFF
-        _reject_unknown(opts, ())
+        _reject_unknown(opts)
         return m.MultipartRequest(m.OFPMP_METER, m.MeterStatsRequest(mid))
     if verb == "group-mod":
         return _build_group_mod(tokens)
@@ -303,7 +313,7 @@ def _build_body(verb: str, tokens: list[str]):
             )
         except KeyError as exc:
             raise UsageError(f"state-config needs {exc.args[0]}=...") from None
-        _reject_unknown(opts, ())
+        _reject_unknown(opts)
         cfg.validate()
         return encode_state_table_config(cfg)
     if verb == "set-state":
@@ -316,7 +326,7 @@ def _build_body(verb: str, tokens: list[str]):
             raise UsageError(f"set-state needs {exc.args[0]}=...") from None
         timers = [_int(k, opts.pop(k)) if k in opts else 0
                   for k in ("idle", "idle_rb", "hard", "hard_rb")]
-        _reject_unknown(opts, ())
+        _reject_unknown(opts)
         return encode_set_state_entry(table, key, state, *timers)
     if verb == "del-state":
         opts = _opts(tokens)
@@ -325,7 +335,7 @@ def _build_body(verb: str, tokens: list[str]):
             key = _parse_key("key", opts.pop("key"))
         except KeyError as exc:
             raise UsageError(f"del-state needs {exc.args[0]}=...") from None
-        _reject_unknown(opts, ())
+        _reject_unknown(opts)
         return encode_del_state_entry(table, key)
     if verb == "state-stats":
         opts = _opts(tokens)
@@ -333,36 +343,36 @@ def _build_body(verb: str, tokens: list[str]):
             table = _int("table", opts.pop("table"))
         except KeyError:
             raise UsageError("state-stats needs table=N") from None
-        _reject_unknown(opts, ())
+        _reject_unknown(opts)
         return m.MultipartRequest(m.OFPMP_EXPERIMENTER, m.StateStatsRequest(table))
     if verb == "pkt-template":
         return _build_pkt_template(tokens)
     raise UsageError(f"unknown verb {verb!r}")
 
 
-def _reject_unknown(opts: dict, allowed: tuple) -> None:
-    for key in opts:
-        if key not in allowed:
-            raise UsageError(f"unknown token {key!r}")
+def _reject_unknown(opts: dict) -> None:
+    if opts:
+        raise UsageError(f"unknown token {next(iter(opts))!r}")
 
 
 def _build_flow_mod(tokens: list[str]) -> m.FlowMod:
     fm = m.FlowMod()
     have_cmd = False
+    instructions = []
     for t in tokens:
         if t == "clear":
-            fm.instructions.append(m.ClearActions())
+            instructions.append(m.ClearActions())
             continue
         if ":" in t and t.split(":", 1)[0] in ("apply", "write", "goto", "meter"):
             kind, text = t.split(":", 1)
             if kind == "apply":
-                fm.instructions.append(m.ApplyActions(_parse_actions(t, text)))
+                instructions.append(m.ApplyActions(_parse_actions(t, text)))
             elif kind == "write":
-                fm.instructions.append(m.WriteActions(_parse_actions(t, text)))
+                instructions.append(m.WriteActions(_parse_actions(t, text)))
             elif kind == "goto":
-                fm.instructions.append(m.GotoTable(_int(t, text)))
+                instructions.append(m.GotoTable(_int(t, text)))
             else:
-                fm.instructions.append(m.MeterInstruction(_int(t, text)))
+                instructions.append(m.MeterInstruction(_int(t, text)))
             continue
         key, sep, value = t.partition("=")
         if not sep:
@@ -387,18 +397,14 @@ def _build_flow_mod(tokens: list[str]) -> m.FlowMod:
             else:
                 fm.cookie = _int(t, value)
         elif key == "flags":
-            for name in value.split(","):
-                if name not in _FLOW_FLAGS:
-                    raise UsageError(f"unknown flag {name!r}")
-                fm.flags |= _FLOW_FLAGS[name]
+            fm.flags |= _parse_flags(_FLOW_FLAGS, value, "flag")
         elif key in FIELDS:
-            v = _parse_match_value(key, value)
-            fm.match.add(make_field(key, *v) if isinstance(v, tuple) else make_field(key, v))
+            fm.match.add(_parse_match_field(key, value))
         else:
             raise UsageError(f"unknown token {t!r}")
     if not have_cmd:
         raise UsageError("flow-mod needs cmd=add|modify|delete|...")
-    return fm
+    return dataclasses.replace(fm, instructions=instructions)
 
 
 def _build_group_mod(tokens: list[str]) -> m.GroupMod:
@@ -465,16 +471,7 @@ def _build_meter_mod(tokens: list[str]) -> m.MeterMod:
         elif key == "meter":
             mid = _int(t, value)
         elif key == "flags":
-            flags = 0
-            for name in value.split(","):
-                if name == "kbps":
-                    flags |= m.OFPMF_KBPS
-                elif name == "pktps":
-                    flags |= m.OFPMF_PKTPS
-                elif name == "burst":
-                    flags |= m.OFPMF_BURST
-                else:
-                    raise UsageError(f"unknown meter flag {name!r}")
+            flags = _parse_flags(_METER_FLAGS, value, "meter flag")
         elif key == "band":
             parts = value.split(":")
             if parts[0] == "drop":
@@ -605,7 +602,7 @@ def execute(cmd: Command):
 # -- output rendering ---------------------------------------------------------------
 
 
-def _render(verb: str, body, json_out: bool) -> str:
+def _render(body, json_out: bool) -> str:
     if body is None:
         payload = {"result": "ok"}
         return json.dumps(payload) if json_out else "ok"
@@ -710,7 +707,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConnectError as exc:
         print(f"connect error: {exc}", file=sys.stderr)
         return 3
-    print(_render(cmd.verb, body, cmd.json_out))
+    print(_render(body, cmd.json_out))
     return 0
 
 

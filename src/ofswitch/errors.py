@@ -79,10 +79,6 @@ class BadGroupId(DatapathError):
     pass
 
 
-class NoLiveBucket(DatapathError):
-    pass
-
-
 class BadMeterId(DatapathError):
     pass
 
@@ -106,10 +102,6 @@ class BadScope(StatefulError):
 
 
 class ScopeWidthMismatch(StatefulError):
-    pass
-
-
-class KeyUnextractable(StatefulError):
     pass
 
 

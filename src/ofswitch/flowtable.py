@@ -20,7 +20,7 @@ from .oxm import MatchSet
 class FlowEntry:
     match: MatchSet
     priority: int
-    instructions: list
+    instructions: tuple
     idle_timeout: int = 0
     hard_timeout: int = 0
     cookie: int = 0

@@ -3,12 +3,17 @@
 Only the message subset the switch speaks is modelled as typed variants;
 everything else decodes to :class:`Unsupported` so the channel can answer
 with a bad-request error instead of dropping the connection.
+
+Sequence fields (instructions, actions, buckets, bands) are stored as
+tuples whatever the caller passed, and multipart reply bodies as lists, so
+equality is plain field equality: a message built with lists equals the
+same message decoded from the wire.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from typing import List, Optional
+from typing import Optional
 
 from .oxm import MatchSet
 
@@ -113,6 +118,7 @@ OFPHFC_INCOMPATIBLE = 0
 OFPBRC_BAD_TYPE = 1
 OFPBRC_BAD_LEN = 2
 OFPBRC_BAD_TABLE_ID = 9
+OFPBRC_BAD_PACKET = 12
 OFPFMFC_OVERLAP = 1
 OFPFMFC_BAD_TABLE_ID = 2
 OFPBIC_BAD_TABLE_ID = 2
@@ -120,14 +126,6 @@ OFPBMC_BAD_FIELD = 6
 OFPGMFC_INVALID_GROUP = 10
 OFPGMFC_UNKNOWN_GROUP = 0xF0  # internal rendering only
 OFPMMFC_UNKNOWN_METER = 8
-
-
-@dataclass(frozen=True)
-class OfHeader:
-    version: int
-    msg_type: int
-    length: int
-    xid: int
 
 
 # -- actions -----------------------------------------------------------------
@@ -216,16 +214,16 @@ class WriteMetadata:
 class WriteActions:
     actions: tuple
 
-    def __init__(self, actions):
-        object.__setattr__(self, "actions", tuple(actions))
+    def __post_init__(self):
+        object.__setattr__(self, "actions", tuple(self.actions))
 
 
 @dataclass(frozen=True)
 class ApplyActions:
     actions: tuple
 
-    def __init__(self, actions):
-        object.__setattr__(self, "actions", tuple(actions))
+    def __post_init__(self):
+        object.__setattr__(self, "actions", tuple(self.actions))
 
 
 @dataclass(frozen=True)
@@ -247,11 +245,8 @@ class Bucket:
     watch_port: int = OFPP_ANY
     watch_group: int = OFPG_ANY
 
-    def __init__(self, actions, weight=0, watch_port=OFPP_ANY, watch_group=OFPG_ANY):
-        object.__setattr__(self, "actions", tuple(actions))
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "watch_port", watch_port)
-        object.__setattr__(self, "watch_group", watch_group)
+    def __post_init__(self):
+        object.__setattr__(self, "actions", tuple(self.actions))
 
 
 @dataclass(frozen=True)
@@ -316,24 +311,13 @@ class FlowMod:
     cookie: int = 0
     cookie_mask: int = 0
     flags: int = 0
-    instructions: list = dfield(default_factory=list)
+    instructions: tuple = ()
     buffer_id: int = OFP_NO_BUFFER
     out_port: int = OFPP_ANY
     out_group: int = OFPG_ANY
 
-    def __eq__(self, other):
-        if not isinstance(other, FlowMod):
-            return NotImplemented
-        return (
-            (self.table_id, self.command, self.priority, self.idle_timeout,
-             self.hard_timeout, self.cookie, self.cookie_mask, self.flags,
-             self.buffer_id, self.out_port, self.out_group)
-            == (other.table_id, other.command, other.priority, other.idle_timeout,
-                other.hard_timeout, other.cookie, other.cookie_mask, other.flags,
-                other.buffer_id, other.out_port, other.out_group)
-            and self.match == other.match
-            and tuple(self.instructions) == tuple(other.instructions)
-        )
+    def __post_init__(self):
+        self.instructions = tuple(self.instructions)
 
 
 @dataclass
@@ -341,13 +325,10 @@ class GroupMod:
     command: int
     group_type: int
     group_id: int
-    buckets: list = dfield(default_factory=list)
+    buckets: tuple = ()
 
-    def __eq__(self, other):
-        if not isinstance(other, GroupMod):
-            return NotImplemented
-        return (self.command, self.group_type, self.group_id, tuple(self.buckets)) == (
-            other.command, other.group_type, other.group_id, tuple(other.buckets))
+    def __post_init__(self):
+        self.buckets = tuple(self.buckets)
 
 
 @dataclass
@@ -355,13 +336,10 @@ class MeterMod:
     command: int
     flags: int
     meter_id: int
-    bands: list = dfield(default_factory=list)
+    bands: tuple = ()
 
-    def __eq__(self, other):
-        if not isinstance(other, MeterMod):
-            return NotImplemented
-        return (self.command, self.flags, self.meter_id, tuple(self.bands)) == (
-            other.command, other.flags, other.meter_id, tuple(other.bands))
+    def __post_init__(self):
+        self.bands = tuple(self.bands)
 
 
 @dataclass
@@ -372,31 +350,22 @@ class PacketIn:
     match: MatchSet
     payload: bytes
     cookie: int = 0
-    total_len: Optional[int] = None
+    total_len: Optional[int] = None  # None: the whole payload
 
-    def __eq__(self, other):
-        if not isinstance(other, PacketIn):
-            return NotImplemented
-        return (
-            (self.buffer_id, self.reason, self.table_id, self.payload, self.cookie)
-            == (other.buffer_id, other.reason, other.table_id, other.payload, other.cookie)
-            and self.match == other.match
-            and (self.total_len or len(self.payload)) == (other.total_len or len(other.payload))
-        )
+    def __post_init__(self):
+        if self.total_len is None:
+            self.total_len = len(self.payload)
 
 
 @dataclass
 class PacketOut:
     buffer_id: int
     in_port: int
-    actions: list
+    actions: tuple
     payload: bytes
 
-    def __eq__(self, other):
-        if not isinstance(other, PacketOut):
-            return NotImplemented
-        return (self.buffer_id, self.in_port, tuple(self.actions), self.payload) == (
-            other.buffer_id, other.in_port, tuple(other.actions), other.payload)
+    def __post_init__(self):
+        self.actions = tuple(self.actions)
 
 
 @dataclass
@@ -427,12 +396,9 @@ class MultipartReply:
     body: object = None
     flags: int = 0
 
-    def __eq__(self, other):
-        if not isinstance(other, MultipartReply):
-            return NotImplemented
-        mine = tuple(self.body) if isinstance(self.body, list) else self.body
-        theirs = tuple(other.body) if isinstance(other.body, list) else other.body
-        return (self.kind, self.flags, mine) == (other.kind, other.flags, theirs)
+    def __post_init__(self):
+        if isinstance(self.body, tuple):
+            self.body = list(self.body)
 
 
 @dataclass(frozen=True)
@@ -459,13 +425,6 @@ class FlowStatsRequest:
     cookie_mask: int = 0
     match: MatchSet = dfield(default_factory=MatchSet)
 
-    def __eq__(self, other):
-        if not isinstance(other, FlowStatsRequest):
-            return NotImplemented
-        return (self.table_id, self.out_port, self.out_group, self.cookie,
-                self.cookie_mask) == (other.table_id, other.out_port, other.out_group,
-                                      other.cookie, other.cookie_mask) and self.match == other.match
-
 
 @dataclass
 class FlowStats:
@@ -480,24 +439,10 @@ class FlowStats:
     packet_count: int
     byte_count: int
     match: MatchSet
-    instructions: list
+    instructions: tuple
 
-    def __eq__(self, other):
-        if not isinstance(other, FlowStats):
-            return NotImplemented
-        return (
-            (self.table_id, self.duration_sec, self.duration_nsec, self.priority,
-             self.idle_timeout, self.hard_timeout, self.flags, self.cookie,
-             self.packet_count, self.byte_count)
-            == (other.table_id, other.duration_sec, other.duration_nsec, other.priority,
-                other.idle_timeout, other.hard_timeout, other.flags, other.cookie,
-                other.packet_count, other.byte_count)
-            and self.match == other.match
-            and tuple(self.instructions) == tuple(other.instructions)
-        )
-
-    def __hash__(self):
-        return hash((self.table_id, self.priority, self.cookie))
+    def __post_init__(self):
+        self.instructions = tuple(self.instructions)
 
 
 @dataclass(frozen=True)
@@ -605,20 +550,3 @@ class OfMessage:
         if isinstance(self.body, Unsupported):
             return self.body.msg_type
         return _BODY_TYPE[type(self.body)]
-
-    @property
-    def header(self) -> OfHeader:
-        from . import wire  # local import to avoid a cycle
-
-        return OfHeader(OFP_VERSION, self.msg_type, len(wire.pack(self)), self.xid)
-
-    def __eq__(self, other):
-        if not isinstance(other, OfMessage):
-            return NotImplemented
-        return self.xid == other.xid and self.body == other.body
-
-
-def body_msg_type(body) -> int:
-    if isinstance(body, Unsupported):
-        return body.msg_type
-    return _BODY_TYPE[type(body)]

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .errors import BadScope, BadTable, BadTemplate, ScopeWidthMismatch
 from .messages import Experimenter, SetStateAction
 from .oxm import FIELDS, STATE_EXPERIMENTER_ID, field_by_key
+from .wire import _Reader
 
 DEFAULT_STATE = 0
 
@@ -176,28 +177,35 @@ class PacketTemplate:
 # -- experimenter wire layouts ------------------------------------------------------
 # Formats are this project's own, versioned in docs/stateful-wire.md.
 
+_TABLE_CONFIG = struct.Struct("!BxBB")  # table id, lookup and update scope lengths
+_SCOPE_FIELD = struct.Struct("!HBB")  # OXM class, field id << 1, width
+_SET_STATE_ENTRY = struct.Struct("!BxHIIIII")  # table id, key length, state, timers
+_DEL_STATE_ENTRY = struct.Struct("!BxH")  # table id, key length
+_PKT_TEMPLATE = struct.Struct("!IBxHHI")  # id, egress kind, slots, data length, port
+_TEMPLATE_SLOT = struct.Struct("!HHBB2x")  # offset, OXM class, field id << 1, width
+
+
 def _encode_scope(scope: list[str]) -> bytes:
     out = b""
     for name in scope:
         t = FIELDS[name]
-        out += struct.pack("!HBB", t.oxm_class, t.field_id << 1, t.nbytes)
+        out += _SCOPE_FIELD.pack(t.oxm_class, t.field_id << 1, t.nbytes)
     return out
 
 
-def _decode_scope(data: bytes, count: int, pos: int) -> tuple[list[str], int]:
+def _decode_scope(r: _Reader, count: int) -> list[str]:
     scope = []
     for _ in range(count):
-        oxm_class, fh, _n = struct.unpack_from("!HBB", data, pos)
+        oxm_class, fh, _n = r.read(_SCOPE_FIELD)
         t = field_by_key(oxm_class, fh >> 1)
         if t is None:
             raise BadScope(f"unknown scope field class={oxm_class:#x} id={fh >> 1}")
         scope.append(t.name)
-        pos += 4
-    return scope, pos
+    return scope
 
 
 def encode_state_table_config(cfg: StateTableConfig) -> Experimenter:
-    payload = struct.pack("!BxBB", cfg.table_id, len(cfg.lookup_scope), len(cfg.update_scope))
+    payload = _TABLE_CONFIG.pack(cfg.table_id, len(cfg.lookup_scope), len(cfg.update_scope))
     payload += _encode_scope(cfg.lookup_scope) + _encode_scope(cfg.update_scope)
     return Experimenter(STATE_EXPERIMENTER_ID, EXPMSG_SET_STATE_TABLE_CONFIG, payload)
 
@@ -205,15 +213,15 @@ def encode_state_table_config(cfg: StateTableConfig) -> Experimenter:
 def encode_set_state_entry(table_id: int, key: bytes, state: int,
                            idle_timeout=0, idle_rollback=0,
                            hard_timeout=0, hard_rollback=0) -> Experimenter:
-    payload = struct.pack(
-        "!BxHIIIII", table_id, len(key), state,
+    payload = _SET_STATE_ENTRY.pack(
+        table_id, len(key), state,
         idle_timeout, idle_rollback, hard_timeout, hard_rollback,
     ) + key
     return Experimenter(STATE_EXPERIMENTER_ID, EXPMSG_SET_STATE_ENTRY, payload)
 
 
 def encode_del_state_entry(table_id: int, key: bytes) -> Experimenter:
-    payload = struct.pack("!BxH", table_id, len(key)) + key
+    payload = _DEL_STATE_ENTRY.pack(table_id, len(key)) + key
     return Experimenter(STATE_EXPERIMENTER_ID, EXPMSG_DEL_STATE_ENTRY, payload)
 
 
@@ -225,12 +233,12 @@ def encode_pkt_template(tmpl: PacketTemplate) -> Experimenter:
         egress_kind, egress_port = 1, 0
     else:
         egress_kind, egress_port = 2, 0
-    payload = struct.pack(
-        "!IBxHHI", tmpl.template_id, egress_kind, len(tmpl.slots), len(tmpl.data), egress_port
+    payload = _PKT_TEMPLATE.pack(
+        tmpl.template_id, egress_kind, len(tmpl.slots), len(tmpl.data), egress_port
     )
     for s in tmpl.slots:
         t = FIELDS[s.source_field]
-        payload += struct.pack("!HHBB2x", s.offset, t.oxm_class, t.field_id << 1, t.nbytes)
+        payload += _TEMPLATE_SLOT.pack(s.offset, t.oxm_class, t.field_id << 1, t.nbytes)
     return Experimenter(STATE_EXPERIMENTER_ID, EXPMSG_SET_PKT_TEMPLATE, payload + tmpl.data)
 
 
@@ -238,41 +246,38 @@ def decode_experimenter(body: Experimenter):
     """Decode a stateful-control experimenter message into a typed command.
 
     Returns None for foreign experimenter ids (carried opaquely elsewhere).
+    A payload shorter than its layout or its declared lengths raises
+    ``BadLength``.
     """
     if body.experimenter_id != STATE_EXPERIMENTER_ID:
         return None
-    data = body.payload
+    r = _Reader(body.payload)
     if body.exp_type == EXPMSG_SET_STATE_TABLE_CONFIG:
-        table_id, n_lookup, n_update = struct.unpack_from("!BxBB", data)
-        pos = 4
-        lookup, pos = _decode_scope(data, n_lookup, pos)
-        update, pos = _decode_scope(data, n_update, pos)
+        table_id, n_lookup, n_update = r.read(_TABLE_CONFIG)
+        lookup = _decode_scope(r, n_lookup)
+        update = _decode_scope(r, n_update)
         return StateTableConfig(table_id, lookup, update)
     if body.exp_type == EXPMSG_SET_STATE_ENTRY:
-        table_id, key_len, state, idle_t, idle_r, hard_t, hard_r = struct.unpack_from(
-            "!BxHIIIII", data
-        )
-        key = data[24:24 + key_len]
+        table_id, key_len, state, idle_t, idle_r, hard_t, hard_r = r.read(_SET_STATE_ENTRY)
+        key = r.take(key_len)
         return ("set_state_entry", table_id, key, state, idle_t, idle_r, hard_t, hard_r)
     if body.exp_type == EXPMSG_DEL_STATE_ENTRY:
-        table_id, key_len = struct.unpack_from("!BxH", data)
-        return ("del_state_entry", table_id, data[4:4 + key_len])
+        table_id, key_len = r.read(_DEL_STATE_ENTRY)
+        return ("del_state_entry", table_id, r.take(key_len))
     if body.exp_type == EXPMSG_SET_PKT_TEMPLATE:
-        template_id, egress_kind, n_slots, data_len, egress_port = struct.unpack_from(
-            "!IBxHHI", data
-        )
-        pos = 14
+        template_id, egress_kind, n_slots, data_len, egress_port = r.read(_PKT_TEMPLATE)
         slots = []
         for _ in range(n_slots):
-            offset, oxm_class, fh, _n = struct.unpack_from("!HHBB", data, pos)
+            offset, oxm_class, fh, _n = r.read(_TEMPLATE_SLOT)
             t = field_by_key(oxm_class, fh >> 1)
             if t is None:
                 raise BadTemplate("unknown slot field in template message")
             slots.append(TemplateSlot(offset, t.name))
-            pos += 8
-        tmpl_data = data[pos:pos + data_len]
-        egress = {0: (EGRESS_PORT, egress_port), 1: (EGRESS_IN_PORT,), 2: (EGRESS_PIPELINE,)}[
+        tmpl_data = r.take(data_len)
+        egress = {0: (EGRESS_PORT, egress_port), 1: (EGRESS_IN_PORT,), 2: (EGRESS_PIPELINE,)}.get(
             egress_kind
-        ]
+        )
+        if egress is None:
+            raise BadTemplate(f"unknown template egress kind {egress_kind}")
         return PacketTemplate(template_id, tmpl_data, slots, egress)
     raise BadTable(f"unknown stateful experimenter subtype {body.exp_type}")

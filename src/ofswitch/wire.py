@@ -1,6 +1,7 @@
 """OpenFlow 1.3 wire codec: pack, unpack and stream framing.
 
-All multi-byte quantities are big-endian.  ``unpack`` never reads past the
+All multi-byte quantities are big-endian.  Each fixed-size layout is one
+``struct.Struct`` that both directions use.  ``unpack`` never reads past the
 supplied buffer: every access goes through :class:`_Reader`, which raises
 ``BadLength`` on overrun.
 """
@@ -13,14 +14,15 @@ from . import messages as m
 from .errors import BadLength, BadMatch, BadType, BadVersion, DesyncError, Unencodable
 from .oxm import (
     OFPXMC_EXPERIMENTER,
-    OFPXMC_OPENFLOW_BASIC,
     STATE_EXPERIMENTER_ID,
     MatchSet,
     OxmField,
     field_by_key,
 )
 
-_pack_into = struct.pack
+_HEADER = struct.Struct("!BBHI")  # version, type, length, xid
+_TL = struct.Struct("!HH")  # type and length heading a match, action, instruction or band
+_ID = struct.Struct("!I")  # group, meter or experimenter id
 
 
 def _pad_to(n: int, align: int = 8) -> int:
@@ -45,20 +47,13 @@ class _Reader:
         self.pos += n
         return b
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "big")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
-
-    def skip(self, n: int) -> None:
-        self.take(n)
+    def read(self, layout: struct.Struct) -> tuple:
+        """Unpack exactly ``layout.size`` bytes."""
+        pos = self.pos
+        if pos + layout.size > self.end:
+            raise BadLength(f"need {layout.size} bytes, {self.remaining()} remaining")
+        self.pos = pos + layout.size
+        return layout.unpack_from(self.data, pos)
 
     def sub(self, n: int) -> "_Reader":
         if self.pos + n > self.end:
@@ -74,22 +69,28 @@ def _check_width(value: int, bits: int, what: str) -> int:
     return value
 
 
+def _tlv(t: int, body: bytes) -> bytes:
+    """Prefix ``body`` with a type and a length that counts the prefix."""
+    return _TL.pack(t, _TL.size + len(body)) + body
+
+
 # -- OXM / match -----------------------------------------------------------------
+
+_OXM_HEADER = struct.Struct("!HBB")  # class, field id << 1 | hasmask, payload length
+
 
 def encode_oxm(f: OxmField) -> bytes:
     body = f.value + (f.mask or b"")
     if f.oxm_class == OFPXMC_EXPERIMENTER:
         body = STATE_EXPERIMENTER_ID.to_bytes(4, "big") + body
-    hdr = struct.pack(
-        "!HBB", f.oxm_class, (f.field_id << 1) | (1 if f.has_mask else 0), len(body)
+    hdr = _OXM_HEADER.pack(
+        f.oxm_class, (f.field_id << 1) | (1 if f.has_mask else 0), len(body)
     )
     return hdr + body
 
 
 def decode_oxm(r: _Reader) -> OxmField:
-    oxm_class = r.u16()
-    fh = r.u8()
-    length = r.u8()
+    oxm_class, fh, length = r.read(_OXM_HEADER)
     field_id = fh >> 1
     has_mask = bool(fh & 1)
     body = r.take(length)
@@ -119,12 +120,11 @@ def decode_oxm(r: _Reader) -> OxmField:
 def encode_match(match: MatchSet) -> bytes:
     oxms = b"".join(encode_oxm(f) for f in match)
     length = 4 + len(oxms)  # type + length + fields, excluding pad
-    return struct.pack("!HH", 1, length) + oxms + b"\x00" * _pad_to(length)
+    return _TL.pack(1, length) + oxms + b"\x00" * _pad_to(length)
 
 
 def decode_match(r: _Reader) -> MatchSet:
-    match_type = r.u16()
-    length = r.u16()
+    match_type, length = r.read(_TL)
     if match_type != 1:
         raise BadMatch(f"unsupported match type {match_type}")
     if length < 4:
@@ -133,7 +133,7 @@ def decode_match(r: _Reader) -> MatchSet:
     ms = MatchSet()
     while body.remaining() > 0:
         ms.add(decode_oxm(body))
-    r.skip(_pad_to(length))
+    r.take(_pad_to(length))
     return ms
 
 
@@ -151,29 +151,36 @@ OFPAT_EXPERIMENTER = 0xFFFF
 _EXPACT_SET_STATE = 1
 _EXPACT_PKT_GEN = 2
 
+_OUTPUT = struct.Struct("!IH6x")  # port, max_len
+_ETHERTYPE = struct.Struct("!H2x")  # of a push or pop action
+_EXPACT_SUBTYPE = struct.Struct("!H")
+_SET_STATE = struct.Struct("!BBIIIII")  # flags, then the SetStateAction fields
+_PKT_GEN = struct.Struct("!BxI")  # flags, template id
+
+
+def _experimenter_action(exp_id: int, payload: bytes) -> bytes:
+    return _tlv(OFPAT_EXPERIMENTER, _ID.pack(exp_id) + payload)
+
 
 def encode_action(a) -> bytes:
     if isinstance(a, m.OutputAction):
         _check_width(a.port, 32, "port")
-        return struct.pack("!HHIH6x", OFPAT_OUTPUT, 16, a.port, a.max_len)
+        return _tlv(OFPAT_OUTPUT, _OUTPUT.pack(a.port, a.max_len))
     if isinstance(a, m.GroupAction):
-        return struct.pack("!HHI", OFPAT_GROUP, 8, _check_width(a.group_id, 32, "group"))
+        return _tlv(OFPAT_GROUP, _ID.pack(_check_width(a.group_id, 32, "group")))
     if isinstance(a, m.PushVlanAction):
-        return struct.pack("!HHH2x", OFPAT_PUSH_VLAN, 8, a.ethertype)
+        return _tlv(OFPAT_PUSH_VLAN, _ETHERTYPE.pack(a.ethertype))
     if isinstance(a, m.PopVlanAction):
-        return struct.pack("!HH4x", OFPAT_POP_VLAN, 8)
+        return _tlv(OFPAT_POP_VLAN, bytes(4))
     if isinstance(a, m.PushMplsAction):
-        return struct.pack("!HHH2x", OFPAT_PUSH_MPLS, 8, a.ethertype)
+        return _tlv(OFPAT_PUSH_MPLS, _ETHERTYPE.pack(a.ethertype))
     if isinstance(a, m.PopMplsAction):
-        return struct.pack("!HHH2x", OFPAT_POP_MPLS, 8, a.ethertype)
+        return _tlv(OFPAT_POP_MPLS, _ETHERTYPE.pack(a.ethertype))
     if isinstance(a, m.SetFieldAction):
         oxm = encode_oxm(a.field)
-        length = 4 + len(oxm)
-        return struct.pack("!HH", OFPAT_SET_FIELD, length + _pad_to(length)) + oxm + b"\x00" * _pad_to(length)
+        return _tlv(OFPAT_SET_FIELD, oxm + b"\x00" * _pad_to(4 + len(oxm)))
     if isinstance(a, m.SetStateAction):
-        payload = struct.pack(
-            "!HBBIIIII",
-            _EXPACT_SET_STATE,
+        payload = _EXPACT_SUBTYPE.pack(_EXPACT_SET_STATE) + _SET_STATE.pack(
             1 if a.use_lookup_scope else 0,
             a.table_id,
             a.next_state,
@@ -182,67 +189,55 @@ def encode_action(a) -> bytes:
             a.hard_timeout,
             a.hard_rollback,
         )
-        return struct.pack("!HHI", OFPAT_EXPERIMENTER, 8 + len(payload), STATE_EXPERIMENTER_ID) + payload
+        return _experimenter_action(STATE_EXPERIMENTER_ID, payload)
     if isinstance(a, m.PktGenAction):
-        payload = struct.pack("!HBxI", _EXPACT_PKT_GEN, 1 if a.stop_processing else 0, a.template_id)
-        return struct.pack("!HHI", OFPAT_EXPERIMENTER, 8 + len(payload), STATE_EXPERIMENTER_ID) + payload
+        payload = _EXPACT_SUBTYPE.pack(_EXPACT_PKT_GEN) + _PKT_GEN.pack(
+            1 if a.stop_processing else 0, a.template_id)
+        return _experimenter_action(STATE_EXPERIMENTER_ID, payload)
     if isinstance(a, m.ExperimenterAction):
-        length = 8 + len(a.payload)
-        if length % 8:
+        if len(a.payload) % 8:
             raise Unencodable("experimenter action payload must pad to 8 bytes")
-        return struct.pack("!HHI", OFPAT_EXPERIMENTER, length, a.experimenter_id) + a.payload
+        return _experimenter_action(a.experimenter_id, a.payload)
     raise Unencodable(f"cannot encode action {a!r}")
 
 
-def _decode_state_action(payload: bytes):
-    r = _Reader(payload)
-    subtype = r.u16()
+def _decode_state_action(r: _Reader):
+    (subtype,) = r.read(_EXPACT_SUBTYPE)
     if subtype == _EXPACT_SET_STATE:
-        flags = r.u8()
-        table_id = r.u8()
+        flags, table_id, next_state, idle_t, idle_rb, hard_t, hard_rb = r.read(_SET_STATE)
         return m.SetStateAction(
-            table_id=table_id,
-            next_state=r.u32(),
-            idle_timeout=r.u32(),
-            idle_rollback=r.u32(),
-            hard_timeout=r.u32(),
-            hard_rollback=r.u32(),
-            use_lookup_scope=bool(flags & 1),
+            table_id, next_state, idle_t, idle_rb, hard_t, hard_rb, bool(flags & 1)
         )
     if subtype == _EXPACT_PKT_GEN:
-        flags = r.u8()
-        r.skip(1)
-        return m.PktGenAction(template_id=r.u32(), stop_processing=bool(flags & 1))
+        flags, template_id = r.read(_PKT_GEN)
+        return m.PktGenAction(template_id, bool(flags & 1))
     return None
 
 
 def decode_action(r: _Reader):
-    a_type = r.u16()
-    length = r.u16()
+    a_type, length = r.read(_TL)
     if length < 8 or length % 8:
         raise BadLength(f"action length {length} invalid")
     body = r.sub(length - 4)
     if a_type == OFPAT_OUTPUT:
-        port = body.u32()
-        max_len = body.u16()
-        return m.OutputAction(port, max_len)
+        return m.OutputAction(*body.read(_OUTPUT))
     if a_type == OFPAT_GROUP:
-        return m.GroupAction(body.u32())
+        return m.GroupAction(*body.read(_ID))
     if a_type == OFPAT_PUSH_VLAN:
-        return m.PushVlanAction(body.u16())
+        return m.PushVlanAction(*body.read(_ETHERTYPE))
     if a_type == OFPAT_POP_VLAN:
         return m.PopVlanAction()
     if a_type == OFPAT_PUSH_MPLS:
-        return m.PushMplsAction(body.u16())
+        return m.PushMplsAction(*body.read(_ETHERTYPE))
     if a_type == OFPAT_POP_MPLS:
-        return m.PopMplsAction(body.u16())
+        return m.PopMplsAction(*body.read(_ETHERTYPE))
     if a_type == OFPAT_SET_FIELD:
         return m.SetFieldAction(decode_oxm(body))
     if a_type == OFPAT_EXPERIMENTER:
-        exp_id = body.u32()
+        (exp_id,) = body.read(_ID)
         payload = body.take(body.remaining())
         if exp_id == STATE_EXPERIMENTER_ID:
-            decoded = _decode_state_action(payload)
+            decoded = _decode_state_action(_Reader(payload))
             if decoded is not None:
                 return decoded
         return m.ExperimenterAction(exp_id, payload)
@@ -265,44 +260,45 @@ OFPIT_APPLY_ACTIONS = 4
 OFPIT_CLEAR_ACTIONS = 5
 OFPIT_METER = 6
 
+_GOTO_TABLE = struct.Struct("!B3x")
+_WRITE_METADATA = struct.Struct("!4xQQ")  # metadata, mask
+
 
 def encode_instruction(ins) -> bytes:
     if isinstance(ins, m.GotoTable):
-        return struct.pack("!HHB3x", OFPIT_GOTO_TABLE, 8, ins.table_id)
+        return _tlv(OFPIT_GOTO_TABLE, _GOTO_TABLE.pack(ins.table_id))
     if isinstance(ins, m.WriteMetadata):
-        return struct.pack("!HH4xQQ", OFPIT_WRITE_METADATA, 24, ins.metadata, ins.mask)
+        return _tlv(OFPIT_WRITE_METADATA, _WRITE_METADATA.pack(ins.metadata, ins.mask))
     if isinstance(ins, (m.WriteActions, m.ApplyActions)):
         t = OFPIT_WRITE_ACTIONS if isinstance(ins, m.WriteActions) else OFPIT_APPLY_ACTIONS
         acts = b"".join(encode_action(a) for a in ins.actions)
-        return struct.pack("!HH4x", t, 8 + len(acts)) + acts
+        return _tlv(t, b"\x00" * 4 + acts)
     if isinstance(ins, m.ClearActions):
-        return struct.pack("!HH4x", OFPIT_CLEAR_ACTIONS, 8)
+        return _tlv(OFPIT_CLEAR_ACTIONS, b"\x00" * 4)
     if isinstance(ins, m.MeterInstruction):
-        return struct.pack("!HHI", OFPIT_METER, 8, ins.meter_id)
+        return _tlv(OFPIT_METER, _ID.pack(ins.meter_id))
     raise Unencodable(f"cannot encode instruction {ins!r}")
 
 
 def decode_instruction(r: _Reader):
-    i_type = r.u16()
-    length = r.u16()
+    i_type, length = r.read(_TL)
     if length < 8:
         raise BadLength(f"instruction length {length} below minimum")
     body = r.sub(length - 4)
     if i_type == OFPIT_GOTO_TABLE:
-        return m.GotoTable(body.u8())
+        return m.GotoTable(*body.read(_GOTO_TABLE))
     if i_type == OFPIT_WRITE_METADATA:
-        body.skip(4)
-        return m.WriteMetadata(body.u64(), body.u64())
+        return m.WriteMetadata(*body.read(_WRITE_METADATA))
     if i_type == OFPIT_WRITE_ACTIONS:
-        body.skip(4)
+        body.take(4)
         return m.WriteActions(_decode_actions(body))
     if i_type == OFPIT_APPLY_ACTIONS:
-        body.skip(4)
+        body.take(4)
         return m.ApplyActions(_decode_actions(body))
     if i_type == OFPIT_CLEAR_ACTIONS:
         return m.ClearActions()
     if i_type == OFPIT_METER:
-        return m.MeterInstruction(body.u32())
+        return m.MeterInstruction(*body.read(_ID))
     raise BadType(f"unknown instruction type {i_type}")
 
 
@@ -315,62 +311,82 @@ def _decode_instructions(r: _Reader) -> list:
 
 # -- buckets / bands -------------------------------------------------------------------
 
+_BUCKET = struct.Struct("!HHII4x")  # length, weight, watch port, watch group
+_DROP_BAND = struct.Struct("!II4x")  # rate, burst
+_DSCP_REMARK_BAND = struct.Struct("!IIB3x")  # rate, burst, prec level
+
+
 def encode_bucket(b: m.Bucket) -> bytes:
     acts = b"".join(encode_action(a) for a in b.actions)
-    return struct.pack("!HHII4x", 16 + len(acts), b.weight, b.watch_port, b.watch_group) + acts
+    return _BUCKET.pack(_BUCKET.size + len(acts), b.weight, b.watch_port, b.watch_group) + acts
 
 
 def decode_bucket(r: _Reader) -> m.Bucket:
-    length = r.u16()
-    if length < 16:
+    length, weight, watch_port, watch_group = r.read(_BUCKET)
+    if length < _BUCKET.size:
         raise BadLength(f"bucket length {length} below minimum")
-    body = r.sub(length - 2)
-    weight = body.u16()
-    watch_port = body.u32()
-    watch_group = body.u32()
-    body.skip(4)
-    return m.Bucket(_decode_actions(body), weight, watch_port, watch_group)
+    actions = _decode_actions(r.sub(length - _BUCKET.size))
+    return m.Bucket(actions, weight, watch_port, watch_group)
 
 
 def encode_band(b) -> bytes:
     if isinstance(b, m.DropBand):
-        return struct.pack("!HHII4x", m.OFPMBT_DROP, 16, b.rate, b.burst)
+        return _tlv(m.OFPMBT_DROP, _DROP_BAND.pack(b.rate, b.burst))
     if isinstance(b, m.DscpRemarkBand):
-        return struct.pack("!HHIIB3x", m.OFPMBT_DSCP_REMARK, 16, b.rate, b.burst, b.prec_level)
+        return _tlv(m.OFPMBT_DSCP_REMARK, _DSCP_REMARK_BAND.pack(b.rate, b.burst, b.prec_level))
     raise Unencodable(f"cannot encode band {b!r}")
 
 
 def decode_band(r: _Reader):
-    b_type = r.u16()
-    length = r.u16()
+    b_type, length = r.read(_TL)
     if length < 16:
         raise BadLength(f"band length {length} below minimum")
     body = r.sub(length - 4)
-    rate = body.u32()
-    burst = body.u32()
     if b_type == m.OFPMBT_DROP:
-        return m.DropBand(rate, burst)
+        return m.DropBand(*body.read(_DROP_BAND))
     if b_type == m.OFPMBT_DSCP_REMARK:
-        return m.DscpRemarkBand(rate, burst, body.u8())
+        return m.DscpRemarkBand(*body.read(_DSCP_REMARK_BAND))
     raise BadType(f"unknown meter band type {b_type}")
 
 
 # -- body packers ------------------------------------------------------------------------
 
+_ERROR = struct.Struct("!HH")  # type, code
+_EXPERIMENTER = struct.Struct("!II")  # experimenter id, exp type
+_FEATURES_REPLY = struct.Struct("!QIBB2xI4x")
+_PACKET_IN = struct.Struct("!IHBBQ")
+_FLOW_REMOVED = struct.Struct("!QHBBIIHHQQ")  # the FlowRemoved fields up to the match
+_PACKET_OUT = struct.Struct("!IIH6x")  # buffer id, in port, actions length
+_FLOW_MOD = struct.Struct("!QQBBHHHIIIH2x")
+_GROUP_MOD = struct.Struct("!HBxI")
+_METER_MOD = struct.Struct("!HHI")
+_MULTIPART = struct.Struct("!HH4x")  # kind, flags
+_FLOW_STATS_REQUEST = struct.Struct("!B3xII4xQQ")  # the FlowStatsRequest fields up to the match
+_ID_REQUEST = struct.Struct("!I4x")  # port, group or meter stats request
+_STATE_STATS_REQUEST = struct.Struct("!B7x")  # table id
+_FLOW_STATS = struct.Struct("!HBxIIHHHH4xQQQ")  # length, the FlowStats fields up to the match
+_PORT_STATS = struct.Struct("!I4x12QII")
+_GROUP_STATS = struct.Struct("!H2xII4xQQII")
+_BUCKET_COUNTER = struct.Struct("!QQ")  # packets, bytes
+_METER_STATS = struct.Struct("!IH6xIQQII")
+_PORT_DESC = struct.Struct("!I4x6s2x16s8I")
+_STATE_STATS = struct.Struct("!B3xI")  # table id, entry count
+_STATE_ENTRY = struct.Struct("!H2xI")  # key length, state
+
+
 def _pack_body(body) -> bytes:
     if isinstance(body, m.Hello):
         return b""
     if isinstance(body, m.Error):
-        return struct.pack("!HH", body.err_type, body.code) + body.data
+        return _ERROR.pack(body.err_type, body.code) + body.data
     if isinstance(body, (m.EchoRequest, m.EchoReply)):
         return body.payload
     if isinstance(body, m.Experimenter):
-        return struct.pack("!II", body.experimenter_id, body.exp_type) + body.payload
+        return _EXPERIMENTER.pack(body.experimenter_id, body.exp_type) + body.payload
     if isinstance(body, m.FeaturesRequest):
         return b""
     if isinstance(body, m.FeaturesReply):
-        return struct.pack(
-            "!QIBB2xI4x",
+        return _FEATURES_REPLY.pack(
             body.datapath_id,
             body.n_buffers,
             _check_width(body.n_tables, 8, "n_tables"),
@@ -378,14 +394,12 @@ def _pack_body(body) -> bytes:
             body.capabilities,
         )
     if isinstance(body, m.PacketIn):
-        total_len = body.total_len if body.total_len is not None else len(body.payload)
-        head = struct.pack(
-            "!IHBBQ", body.buffer_id, total_len, body.reason, body.table_id, body.cookie
+        head = _PACKET_IN.pack(
+            body.buffer_id, body.total_len, body.reason, body.table_id, body.cookie
         )
         return head + encode_match(body.match) + b"\x00\x00" + body.payload
     if isinstance(body, m.FlowRemoved):
-        head = struct.pack(
-            "!QHBBIIHHQQ",
+        head = _FLOW_REMOVED.pack(
             body.cookie,
             body.priority,
             body.reason,
@@ -400,11 +414,10 @@ def _pack_body(body) -> bytes:
         return head + encode_match(body.match)
     if isinstance(body, m.PacketOut):
         acts = b"".join(encode_action(a) for a in body.actions)
-        head = struct.pack("!IIH6x", body.buffer_id, body.in_port, len(acts))
+        head = _PACKET_OUT.pack(body.buffer_id, body.in_port, len(acts))
         return head + acts + body.payload
     if isinstance(body, m.FlowMod):
-        head = struct.pack(
-            "!QQBBHHHIIIH2x",
+        head = _FLOW_MOD.pack(
             body.cookie,
             body.cookie_mask,
             body.table_id,
@@ -420,15 +433,15 @@ def _pack_body(body) -> bytes:
         ins = b"".join(encode_instruction(i) for i in body.instructions)
         return head + encode_match(body.match) + ins
     if isinstance(body, m.GroupMod):
-        head = struct.pack("!HBxI", body.command, body.group_type, body.group_id)
+        head = _GROUP_MOD.pack(body.command, body.group_type, body.group_id)
         return head + b"".join(encode_bucket(b) for b in body.buckets)
     if isinstance(body, m.MeterMod):
-        head = struct.pack("!HHI", body.command, body.flags, body.meter_id)
+        head = _METER_MOD.pack(body.command, body.flags, body.meter_id)
         return head + b"".join(encode_band(b) for b in body.bands)
     if isinstance(body, m.MultipartRequest):
-        return struct.pack("!HH4x", body.kind, body.flags) + _pack_mp_request_body(body)
+        return _MULTIPART.pack(body.kind, body.flags) + _pack_mp_request_body(body)
     if isinstance(body, m.MultipartReply):
-        return struct.pack("!HH4x", body.kind, body.flags) + _pack_mp_reply_body(body)
+        return _MULTIPART.pack(body.kind, body.flags) + _pack_mp_reply_body(body)
     if isinstance(body, m.Unsupported):
         return body.raw
     raise Unencodable(f"cannot encode body {type(body).__name__}")
@@ -438,24 +451,25 @@ def _pack_mp_request_body(mp: m.MultipartRequest) -> bytes:
     b = mp.body
     if mp.kind == m.OFPMP_FLOW:
         b = b or m.FlowStatsRequest()
-        head = struct.pack(
-            "!B3xII4xQQ", b.table_id, b.out_port, b.out_group, b.cookie, b.cookie_mask
+        head = _FLOW_STATS_REQUEST.pack(
+            b.table_id, b.out_port, b.out_group, b.cookie, b.cookie_mask
         )
         return head + encode_match(b.match)
     if mp.kind == m.OFPMP_PORT_STATS:
         b = b or m.PortStatsRequest()
-        return struct.pack("!I4x", b.port_no)
+        return _ID_REQUEST.pack(b.port_no)
     if mp.kind == m.OFPMP_GROUP:
         b = b or m.GroupStatsRequest()
-        return struct.pack("!I4x", b.group_id)
+        return _ID_REQUEST.pack(b.group_id)
     if mp.kind == m.OFPMP_METER:
         b = b or m.MeterStatsRequest()
-        return struct.pack("!I4x", b.meter_id)
+        return _ID_REQUEST.pack(b.meter_id)
     if mp.kind == m.OFPMP_PORT_DESC:
         return b""
     if mp.kind == m.OFPMP_EXPERIMENTER:
         if isinstance(b, m.StateStatsRequest):
-            return struct.pack("!IIB7x", STATE_EXPERIMENTER_ID, 1, b.table_id)
+            return (_EXPERIMENTER.pack(STATE_EXPERIMENTER_ID, 1)
+                    + _STATE_STATS_REQUEST.pack(b.table_id))
         if isinstance(b, bytes):
             return b
         raise Unencodable("experimenter multipart request needs a body")
@@ -465,9 +479,8 @@ def _pack_mp_request_body(mp: m.MultipartRequest) -> bytes:
 def _pack_flow_stats(fs: m.FlowStats) -> bytes:
     match = encode_match(fs.match)
     ins = b"".join(encode_instruction(i) for i in fs.instructions)
-    length = 48 + len(match) + len(ins)
-    head = struct.pack(
-        "!HBxIIHHHH4xQQQ",
+    length = _FLOW_STATS.size + len(match) + len(ins)
+    head = _FLOW_STATS.pack(
         length,
         fs.table_id,
         fs.duration_sec,
@@ -490,8 +503,7 @@ def _pack_mp_reply_body(mp: m.MultipartReply) -> bytes:
         out = []
         for ps in mp.body:
             out.append(
-                struct.pack(
-                    "!I4x12QII",
+                _PORT_STATS.pack(
                     ps.port_no,
                     ps.rx_packets,
                     ps.tx_packets,
@@ -513,11 +525,10 @@ def _pack_mp_reply_body(mp: m.MultipartReply) -> bytes:
     if mp.kind == m.OFPMP_GROUP:
         out = []
         for gs in mp.body:
-            buckets = b"".join(struct.pack("!QQ", p, b) for (p, b) in gs.bucket_stats)
+            buckets = b"".join(_BUCKET_COUNTER.pack(p, b) for (p, b) in gs.bucket_stats)
             out.append(
-                struct.pack(
-                    "!H2xII4xQQII",
-                    40 + len(buckets),
+                _GROUP_STATS.pack(
+                    _GROUP_STATS.size + len(buckets),
                     gs.group_id,
                     gs.ref_count,
                     gs.packet_count,
@@ -532,10 +543,9 @@ def _pack_mp_reply_body(mp: m.MultipartReply) -> bytes:
         out = []
         for ms in mp.body:
             out.append(
-                struct.pack(
-                    "!IH6xIQQII",
+                _METER_STATS.pack(
                     ms.meter_id,
-                    40,
+                    _METER_STATS.size,
                     ms.flow_count,
                     ms.packet_in_count,
                     ms.byte_in_count,
@@ -549,8 +559,7 @@ def _pack_mp_reply_body(mp: m.MultipartReply) -> bytes:
         for pd in mp.body:
             name = pd.name.encode()[:15]
             out.append(
-                struct.pack(
-                    "!I4x6s2x16s8I",
+                _PORT_DESC.pack(
                     pd.port_no,
                     pd.hw_addr,
                     name,
@@ -564,11 +573,12 @@ def _pack_mp_reply_body(mp: m.MultipartReply) -> bytes:
     if mp.kind == m.OFPMP_EXPERIMENTER:
         b = mp.body
         if isinstance(b, m.StateStats):
-            head = struct.pack("!IIB3xI", STATE_EXPERIMENTER_ID, 1, b.table_id, len(b.entries))
+            head = (_EXPERIMENTER.pack(STATE_EXPERIMENTER_ID, 1)
+                    + _STATE_STATS.pack(b.table_id, len(b.entries)))
             chunks = [head]
             for key, state in b.entries:
-                pad = _pad_to(8 + len(key))
-                chunks.append(struct.pack("!H2xI", len(key), state) + key + b"\x00" * pad)
+                pad = _pad_to(_STATE_ENTRY.size + len(key))
+                chunks.append(_STATE_ENTRY.pack(len(key), state) + key + b"\x00" * pad)
             return b"".join(chunks)
         if isinstance(b, bytes):
             return b
@@ -580,62 +590,29 @@ def _pack_mp_reply_body(mp: m.MultipartReply) -> bytes:
 
 def _unpack_mp_request_body(kind: int, r: _Reader):
     if kind == m.OFPMP_FLOW:
-        table_id = r.u8()
-        r.skip(3)
-        out_port = r.u32()
-        out_group = r.u32()
-        r.skip(4)
-        cookie = r.u64()
-        cookie_mask = r.u64()
-        match = decode_match(r)
-        return m.FlowStatsRequest(table_id, out_port, out_group, cookie, cookie_mask, match)
+        return m.FlowStatsRequest(*r.read(_FLOW_STATS_REQUEST), decode_match(r))
     if kind == m.OFPMP_PORT_STATS:
-        port_no = r.u32()
-        r.skip(4)
-        return m.PortStatsRequest(port_no)
+        return m.PortStatsRequest(*r.read(_ID_REQUEST))
     if kind == m.OFPMP_GROUP:
-        gid = r.u32()
-        r.skip(4)
-        return m.GroupStatsRequest(gid)
+        return m.GroupStatsRequest(*r.read(_ID_REQUEST))
     if kind == m.OFPMP_METER:
-        mid = r.u32()
-        r.skip(4)
-        return m.MeterStatsRequest(mid)
+        return m.MeterStatsRequest(*r.read(_ID_REQUEST))
     if kind == m.OFPMP_PORT_DESC:
         return None
     if kind == m.OFPMP_EXPERIMENTER:
-        exp_id = r.u32()
-        exp_type = r.u32()
-        rest = r.take(r.remaining())
-        if exp_id == STATE_EXPERIMENTER_ID and exp_type == 1 and len(rest) >= 1:
-            return m.StateStatsRequest(rest[0])
-        return struct.pack("!II", exp_id, exp_type) + rest
+        exp_id, exp_type = r.read(_EXPERIMENTER)
+        if exp_id == STATE_EXPERIMENTER_ID and exp_type == 1:
+            return m.StateStatsRequest(*r.read(_STATE_STATS_REQUEST))
+        return _EXPERIMENTER.pack(exp_id, exp_type) + r.take(r.remaining())
     raise BadType(f"unknown multipart kind {kind}")
 
 
 def _unpack_flow_stats(r: _Reader) -> m.FlowStats:
-    length = r.u16()
-    if length < 48:
+    length, *fixed = r.read(_FLOW_STATS)
+    if length < _FLOW_STATS.size:
         raise BadLength("flow stats entry below minimum")
-    body = r.sub(length - 2)
-    table_id = body.u8()
-    body.skip(1)
-    duration_sec = body.u32()
-    duration_nsec = body.u32()
-    priority = body.u16()
-    idle_timeout = body.u16()
-    hard_timeout = body.u16()
-    flags = body.u16()
-    body.skip(4)
-    cookie = body.u64()
-    packet_count = body.u64()
-    byte_count = body.u64()
-    match = decode_match(body)
-    instructions = _decode_instructions(body)
-    return m.FlowStats(
-        table_id, duration_sec, duration_nsec, priority, idle_timeout, hard_timeout,
-        flags, cookie, packet_count, byte_count, match, instructions,
-    )
+    body = r.sub(length - _FLOW_STATS.size)
+    return m.FlowStats(*fixed, decode_match(body), _decode_instructions(body))
 
 
 def _unpack_mp_reply_body(kind: int, r: _Reader):
@@ -647,151 +624,85 @@ def _unpack_mp_reply_body(kind: int, r: _Reader):
     if kind == m.OFPMP_PORT_STATS:
         out = []
         while r.remaining() > 0:
-            port_no = r.u32()
-            r.skip(4)
-            vals = [r.u64() for _ in range(12)]
-            dur = r.u32()
-            durn = r.u32()
-            out.append(
-                m.PortStats(
-                    port_no, vals[0], vals[1], vals[2], vals[3], vals[4], vals[5],
-                    vals[6], vals[7], dur, durn,
-                )
-            )
+            port_no, *counters, dur, durn = r.read(_PORT_STATS)
+            # frame, overrun and CRC errors and collisions are not modelled
+            out.append(m.PortStats(port_no, *counters[:8], dur, durn))
         return out
     if kind == m.OFPMP_GROUP:
         out = []
         while r.remaining() > 0:
-            length = r.u16()
-            if length < 40:
+            length, gid, ref, pkts, byts, _dur, _durn = r.read(_GROUP_STATS)
+            if length < _GROUP_STATS.size:
                 raise BadLength("group stats entry below minimum")
-            body = r.sub(length - 2)
-            body.skip(2)
-            gid = body.u32()
-            ref = body.u32()
-            body.skip(4)
-            pkts = body.u64()
-            byts = body.u64()
-            body.skip(8)
+            body = r.sub(length - _GROUP_STATS.size)
             buckets = []
-            while body.remaining() >= 16:
-                buckets.append((body.u64(), body.u64()))
+            while body.remaining() >= _BUCKET_COUNTER.size:
+                buckets.append(body.read(_BUCKET_COUNTER))
             out.append(m.GroupStats(gid, ref, pkts, byts, tuple(buckets)))
         return out
     if kind == m.OFPMP_METER:
         out = []
         while r.remaining() > 0:
-            mid = r.u32()
-            length = r.u16()
-            if length < 40:
+            mid, length, flows, pkts, byts, _dur, _durn = r.read(_METER_STATS)
+            if length < _METER_STATS.size:
                 raise BadLength("meter stats entry below minimum")
-            body = r.sub(length - 6)
-            body.skip(6)
-            flows = body.u32()
-            pkts = body.u64()
-            byts = body.u64()
-            body.skip(body.remaining())
+            r.take(length - _METER_STATS.size)  # band stats are not modelled
             out.append(m.MeterStats(mid, flows, pkts, byts))
         return out
     if kind == m.OFPMP_PORT_DESC:
         out = []
         while r.remaining() > 0:
-            port_no = r.u32()
-            r.skip(4)
-            hw = r.take(6)
-            r.skip(2)
-            name = r.take(16).rstrip(b"\x00").decode(errors="replace")
-            config = r.u32()
-            state = r.u32()
-            r.skip(24)  # feature bitmaps and speeds
+            port_no, hw, name, config, state, *_features = r.read(_PORT_DESC)
+            name = name.rstrip(b"\x00").decode(errors="replace")
             out.append(m.PortDesc(port_no, hw, name, config, state))
         return out
     if kind == m.OFPMP_EXPERIMENTER:
-        exp_id = r.u32()
-        exp_type = r.u32()
+        exp_id, exp_type = r.read(_EXPERIMENTER)
         if exp_id == STATE_EXPERIMENTER_ID and exp_type == 1:
-            table_id = r.u8()
-            r.skip(3)
-            n = r.u32()
+            table_id, n = r.read(_STATE_STATS)
             entries = []
             for _ in range(n):
-                klen = r.u16()
-                r.skip(2)
-                state = r.u32()
+                klen, state = r.read(_STATE_ENTRY)
                 key = r.take(klen)
-                r.skip(_pad_to(8 + klen))
+                r.take(_pad_to(_STATE_ENTRY.size + klen))
                 entries.append((key, state))
             return m.StateStats(table_id, tuple(entries))
-        return struct.pack("!II", exp_id, exp_type) + r.take(r.remaining())
+        return _EXPERIMENTER.pack(exp_id, exp_type) + r.take(r.remaining())
     raise BadType(f"unknown multipart kind {kind}")
 
 
 def _unpack_body(msg_type: int, r: _Reader):
     if msg_type == m.OFPT_HELLO:
-        r.skip(r.remaining())  # hello elements tolerated and ignored
+        r.take(r.remaining())  # hello elements tolerated and ignored
         return m.Hello()
     if msg_type == m.OFPT_ERROR:
-        return m.Error(r.u16(), r.u16(), r.take(r.remaining()))
+        return m.Error(*r.read(_ERROR), r.take(r.remaining()))
     if msg_type == m.OFPT_ECHO_REQUEST:
         return m.EchoRequest(r.take(r.remaining()))
     if msg_type == m.OFPT_ECHO_REPLY:
         return m.EchoReply(r.take(r.remaining()))
     if msg_type == m.OFPT_EXPERIMENTER:
-        return m.Experimenter(r.u32(), r.u32(), r.take(r.remaining()))
+        return m.Experimenter(*r.read(_EXPERIMENTER), r.take(r.remaining()))
     if msg_type == m.OFPT_FEATURES_REQUEST:
         return m.FeaturesRequest()
     if msg_type == m.OFPT_FEATURES_REPLY:
-        dpid = r.u64()
-        n_buffers = r.u32()
-        n_tables = r.u8()
-        aux_id = r.u8()
-        r.skip(2)
-        capabilities = r.u32()
-        r.skip(4)
+        dpid, n_buffers, n_tables, aux_id, capabilities = r.read(_FEATURES_REPLY)
         return m.FeaturesReply(dpid, n_buffers, n_tables, capabilities, aux_id)
     if msg_type == m.OFPT_PACKET_IN:
-        buffer_id = r.u32()
-        total_len = r.u16()
-        reason = r.u8()
-        table_id = r.u8()
-        cookie = r.u64()
+        buffer_id, total_len, reason, table_id, cookie = r.read(_PACKET_IN)
         match = decode_match(r)
-        r.skip(2)
+        r.take(2)
         payload = r.take(r.remaining())
         return m.PacketIn(buffer_id, reason, table_id, match, payload, cookie, total_len)
     if msg_type == m.OFPT_FLOW_REMOVED:
-        cookie = r.u64()
-        priority = r.u16()
-        reason = r.u8()
-        table_id = r.u8()
-        dur = r.u32()
-        durn = r.u32()
-        idle = r.u16()
-        hard = r.u16()
-        pkts = r.u64()
-        byts = r.u64()
-        match = decode_match(r)
-        return m.FlowRemoved(cookie, priority, reason, table_id, dur, durn, idle, hard, pkts, byts, match)
+        return m.FlowRemoved(*r.read(_FLOW_REMOVED), decode_match(r))
     if msg_type == m.OFPT_PACKET_OUT:
-        buffer_id = r.u32()
-        in_port = r.u32()
-        actions_len = r.u16()
-        r.skip(6)
+        buffer_id, in_port, actions_len = r.read(_PACKET_OUT)
         actions = _decode_actions(r.sub(actions_len))
         return m.PacketOut(buffer_id, in_port, actions, r.take(r.remaining()))
     if msg_type == m.OFPT_FLOW_MOD:
-        cookie = r.u64()
-        cookie_mask = r.u64()
-        table_id = r.u8()
-        command = r.u8()
-        idle = r.u16()
-        hard = r.u16()
-        priority = r.u16()
-        buffer_id = r.u32()
-        out_port = r.u32()
-        out_group = r.u32()
-        flags = r.u16()
-        r.skip(2)
+        (cookie, cookie_mask, table_id, command, idle, hard, priority,
+         buffer_id, out_port, out_group, flags) = r.read(_FLOW_MOD)
         match = decode_match(r)
         match.validate_prerequisites()
         instructions = _decode_instructions(r)
@@ -800,31 +711,22 @@ def _unpack_body(msg_type: int, r: _Reader):
             flags, instructions, buffer_id, out_port, out_group,
         )
     if msg_type == m.OFPT_GROUP_MOD:
-        command = r.u16()
-        group_type = r.u8()
-        r.skip(1)
-        group_id = r.u32()
+        command, group_type, group_id = r.read(_GROUP_MOD)
         buckets = []
         while r.remaining() > 0:
             buckets.append(decode_bucket(r))
         return m.GroupMod(command, group_type, group_id, buckets)
     if msg_type == m.OFPT_METER_MOD:
-        command = r.u16()
-        flags = r.u16()
-        meter_id = r.u32()
+        command, flags, meter_id = r.read(_METER_MOD)
         bands = []
         while r.remaining() > 0:
             bands.append(decode_band(r))
         return m.MeterMod(command, flags, meter_id, bands)
     if msg_type == m.OFPT_MULTIPART_REQUEST:
-        kind = r.u16()
-        flags = r.u16()
-        r.skip(4)
+        kind, flags = r.read(_MULTIPART)
         return m.MultipartRequest(kind, _unpack_mp_request_body(kind, r), flags)
     if msg_type == m.OFPT_MULTIPART_REPLY:
-        kind = r.u16()
-        flags = r.u16()
-        r.skip(4)
+        kind, flags = r.read(_MULTIPART)
         return m.MultipartReply(kind, _unpack_mp_reply_body(kind, r), flags)
     if msg_type <= 29:
         return m.Unsupported(msg_type, r.take(r.remaining()))
@@ -839,21 +741,19 @@ def pack(msg: m.OfMessage) -> bytes:
     length = m.OFP_HEADER_LEN + len(body)
     _check_width(length, 16, "message length")
     _check_width(msg.xid, 32, "xid")
-    return struct.pack("!BBHI", m.OFP_VERSION, msg.msg_type, length, msg.xid) + body
+    return _HEADER.pack(m.OFP_VERSION, msg.msg_type, length, msg.xid) + body
 
 
 def unpack(data: bytes) -> m.OfMessage:
     """Decode exactly one wire frame into an OfMessage."""
-    if len(data) < m.OFP_HEADER_LEN:
-        raise BadLength(f"frame of {len(data)} bytes is below the 8-byte header")
-    version, msg_type, length, xid = struct.unpack_from("!BBHI", data)
+    r = _Reader(data)
+    version, msg_type, length, xid = r.read(_HEADER)
     if version != m.OFP_VERSION:
         raise BadVersion(f"version {version:#x}, expected 0x04")
     if length < m.OFP_HEADER_LEN:
         raise BadLength(f"declared length {length} below header size")
     if length != len(data):
         raise BadLength(f"declared length {length} != frame size {len(data)}")
-    r = _Reader(data, m.OFP_HEADER_LEN, length)
     body = _unpack_body(msg_type, r)
     if r.remaining() != 0:
         raise BadLength(f"{r.remaining()} trailing bytes after body")
@@ -870,8 +770,7 @@ class FrameBuffer:
         self._buf.extend(data)
         frames = []
         while len(self._buf) >= m.OFP_HEADER_LEN:
-            version = self._buf[0]
-            length = int.from_bytes(self._buf[2:4], "big")
+            version, _, length, _ = _HEADER.unpack_from(self._buf)
             if version != m.OFP_VERSION or length < m.OFP_HEADER_LEN:
                 raise DesyncError(
                     f"malformed header mid-stream (version={version:#x} length={length})"

@@ -14,8 +14,18 @@ from ofswitch.channel import (
     connect_active,
 )
 from ofswitch.errors import HelloFailed
-from ofswitch.oxm import MatchSet
-from ofswitch.stateful import StateTableConfig, encode_state_table_config
+from ofswitch.oxm import STATE_EXPERIMENTER_ID, MatchSet
+from ofswitch.stateful import (
+    EXPMSG_SET_PKT_TEMPLATE,
+    EXPMSG_SET_STATE_ENTRY,
+    EXPMSG_SET_STATE_TABLE_CONFIG,
+    PacketTemplate,
+    StateTableConfig,
+    TemplateSlot,
+    encode_pkt_template,
+    encode_set_state_entry,
+    encode_state_table_config,
+)
 
 
 class Pipe:
@@ -158,6 +168,49 @@ def test_foreign_experimenter_rejected(session):
     conn.feed(wire.pack(m.OfMessage(3, m.Experimenter(0xDEADBEEF, 1, b"??"))))
     body = pipe.messages()[-1].body
     assert (body.err_type, body.code) == (m.OFPET_BAD_REQUEST, m.OFPBRC_BAD_TYPE)
+
+
+def _one_error(conn, pipe, xid, body) -> m.Error:
+    """Feed one request; it must get exactly one Error with its xid and
+    leave the session open."""
+    conn.feed(wire.pack(m.OfMessage(xid, body)))
+    replies = pipe.messages()
+    assert len(replies) == 1
+    assert replies[0].xid == xid
+    assert isinstance(replies[0].body, m.Error)
+    assert conn.state == "active"
+    return replies[0].body
+
+
+def test_short_packet_out_gets_bad_packet_error(session):
+    conn, pipe = session
+    po = m.PacketOut(m.OFP_NO_BUFFER, m.OFPP_CONTROLLER, [m.OutputAction(1)], b"\x00" * 5)
+    err = _one_error(conn, pipe, 21, po)
+    assert (err.err_type, err.code) == (m.OFPET_BAD_REQUEST, m.OFPBRC_BAD_PACKET)
+
+
+_CONFIG = encode_state_table_config(StateTableConfig(0, ["eth_src"], ["eth_src"]))
+_ENTRY = encode_set_state_entry(0, b"\x01" * 6, 9).payload
+_TEMPLATE = encode_pkt_template(
+    PacketTemplate(1, b"\xff" * 20, [TemplateSlot(6, "eth_src")])).payload
+
+
+@pytest.mark.parametrize("exp_type, payload", [
+    (EXPMSG_SET_STATE_ENTRY, b"\x00"),
+    (EXPMSG_SET_STATE_ENTRY, _ENTRY[:-1]),  # key_len longer than the key
+    (EXPMSG_SET_STATE_TABLE_CONFIG, b"\x00\x00"),
+    (EXPMSG_SET_STATE_TABLE_CONFIG, _CONFIG.payload[:-1]),  # update scope cut short
+    (EXPMSG_SET_PKT_TEMPLATE, b"\x00" * 5),
+    (EXPMSG_SET_PKT_TEMPLATE, _TEMPLATE[:-1]),  # data_len longer than the data
+    (EXPMSG_SET_PKT_TEMPLATE, _TEMPLATE[:4] + b"\x07" + _TEMPLATE[5:]),  # unknown egress kind
+], ids=["entry-header", "entry-key", "config-header", "config-scope",
+        "template-header", "template-data", "template-egress"])
+def test_malformed_stateful_payload_gets_one_error(session, datapath, exp_type, payload):
+    conn, pipe = session
+    conn.feed(wire.pack(m.OfMessage(4, _CONFIG)))
+    _one_error(conn, pipe, 22, m.Experimenter(STATE_EXPERIMENTER_ID, exp_type, payload))
+    assert datapath.state_tables[0].entries == {}
+    assert datapath.templates == {}
 
 
 def test_state_config_via_channel(session, datapath):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from ofswitch import messages as m
 from ofswitch import wire
 from ofswitch.errors import BadLength, BadVersion, CodecError, DesyncError
-from ofswitch.oxm import MatchSet, make_field
+from ofswitch.oxm import STATE_EXPERIMENTER_ID, MatchSet, make_field
+from ofswitch.stateful import decode_experimenter
 
 
 # -- golden corpus ---------------------------------------------------------------
@@ -84,6 +85,77 @@ def test_golden_invalid_frames_rejected(golden):
     for fr in golden["invalid"]:
         with pytest.raises(CodecError):
             wire.unpack(bytes.fromhex(fr["hex"]))
+
+
+def test_truncated_golden_frames_raise_only_codec_errors(golden):
+    # cut 1..n bytes off each body and rewrite the header length to match
+    for fr in golden["frames"]:
+        raw = bytes.fromhex(fr["hex"])
+        for cut in range(1, len(raw) - m.OFP_HEADER_LEN + 1):
+            short = raw[:2] + struct.pack("!H", len(raw) - cut) + raw[4:-cut]
+            try:
+                wire.unpack(short)
+            except CodecError:
+                pass
+
+
+def test_truncated_stateful_payloads_raise_bad_length(golden):
+    for fr in golden["frames"]:
+        body = wire.unpack(bytes.fromhex(fr["hex"])).body
+        if not isinstance(body, m.Experimenter) or body.experimenter_id != STATE_EXPERIMENTER_ID:
+            continue
+        for cut in range(1, len(body.payload) + 1):
+            short = m.Experimenter(body.experimenter_id, body.exp_type, body.payload[:-cut])
+            with pytest.raises(BadLength):
+                decode_experimenter(short)
+
+
+# -- one message of every kind ------------------------------------------------------
+
+def _every_body(seq):
+    """One body of every message type and every multipart reply kind, with
+    each sequence field built by ``seq``."""
+    match = MatchSet.from_pairs({"in_port": 1, "eth_type": 0x0800})
+    acts = seq([m.OutputAction(2), m.SetStateAction(0, 5, idle_timeout=3), m.PktGenAction(1, True)])
+    ins = seq([m.ApplyActions(acts), m.WriteActions(seq([m.GroupAction(1)])),
+               m.WriteMetadata(5, 7), m.MeterInstruction(1), m.ClearActions(), m.GotoTable(3)])
+    return [
+        m.Hello(),
+        m.Error(m.OFPET_BAD_REQUEST, m.OFPBRC_BAD_LEN, b"abc"),
+        m.EchoRequest(b"ping"),
+        m.EchoReply(b"pong"),
+        m.Experimenter(0xDEADBEEF, 7, b"xy"),
+        m.FeaturesRequest(),
+        m.FeaturesReply(1, 0, 64, 0x0F),
+        m.PacketIn(m.OFP_NO_BUFFER, m.OFPR_ACTION, 0, match, b"\x00" * 60),
+        m.FlowRemoved(9, 10, m.OFPRR_IDLE_TIMEOUT, 0, 1, 2, 3, 4, 5, 6, match),
+        m.PacketOut(m.OFP_NO_BUFFER, 1, acts, b"\x00" * 60),
+        m.FlowMod(command=m.OFPFC_ADD, match=match, priority=10, instructions=ins),
+        m.GroupMod(m.OFPGC_ADD, m.OFPGT_SELECT, 1,
+                   seq([m.Bucket(acts, 1), m.Bucket(seq([m.OutputAction(3)]), 2)])),
+        m.MeterMod(m.OFPMC_ADD, m.OFPMF_KBPS, 1,
+                   seq([m.DropBand(100, 10), m.DscpRemarkBand(50, 5, 2)])),
+        m.MultipartRequest(m.OFPMP_FLOW, m.FlowStatsRequest(match=match)),
+        m.MultipartReply(m.OFPMP_FLOW, seq([m.FlowStats(0, 1, 2, 10, 0, 0, 0, 9, 4, 400,
+                                                        match, ins)])),
+        m.MultipartReply(m.OFPMP_PORT_STATS, seq([m.PortStats(1, 2, 3, 4, 5, 6, 7)])),
+        m.MultipartReply(m.OFPMP_GROUP, seq([m.GroupStats(1, 0, 2, 3, ((1, 2),))])),
+        m.MultipartReply(m.OFPMP_METER, seq([m.MeterStats(1, 2, 3, 4)])),
+        m.MultipartReply(m.OFPMP_PORT_DESC, seq([m.PortDesc(1, b"\x02" * 6, "eth1")])),
+        m.MultipartReply(m.OFPMP_EXPERIMENTER, m.StateStats(0, ((b"\x01" * 6, 9),))),
+    ]
+
+
+def test_every_body_round_trips_whatever_its_sequence_type():
+    with_lists = _every_body(list)
+    assert {type(b) for b in with_lists} == set(m._BODY_TYPE)
+    assert {b.kind for b in with_lists if isinstance(b, m.MultipartReply)} == {
+        m.OFPMP_FLOW, m.OFPMP_PORT_STATS, m.OFPMP_GROUP, m.OFPMP_METER,
+        m.OFPMP_PORT_DESC, m.OFPMP_EXPERIMENTER}
+    for body, same in zip(with_lists, _every_body(tuple)):
+        msg = m.OfMessage(7, body)
+        assert wire.unpack(wire.pack(msg)) == msg, body
+        assert msg == m.OfMessage(7, same), body
 
 
 # -- header and framing -----------------------------------------------------------
