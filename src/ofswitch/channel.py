@@ -21,8 +21,10 @@ from .errors import (
     BadInstruction,
     BadMatch,
     BadMeterId,
+    BadMultipart,
     BadPort,
     BadTableId,
+    BadType,
     BadVersion,
     CodecError,
     DesyncError,
@@ -47,6 +49,9 @@ _ERROR_MAP = [
     (BadMeterId, (m.OFPET_METER_MOD_FAILED, m.OFPMMFC_UNKNOWN_METER)),
     (BadPort, (m.OFPET_BAD_ACTION, 4)),
     (StatefulError, (m.OFPET_EXPERIMENTER, 1)),
+    (BadVersion, (m.OFPET_HELLO_FAILED, m.OFPHFC_INCOMPATIBLE)),
+    (BadMultipart, (m.OFPET_BAD_REQUEST, m.OFPBRC_BAD_MULTIPART)),
+    (BadType, (m.OFPET_BAD_REQUEST, m.OFPBRC_BAD_TYPE)),
     (CodecError, (m.OFPET_BAD_REQUEST, m.OFPBRC_BAD_LEN)),
     (ParseError, (m.OFPET_BAD_REQUEST, m.OFPBRC_BAD_PACKET)),
 ]
@@ -128,15 +133,11 @@ class SwitchConnection:
             raise HelloFailed(f"peer speaks protocol version {raw[0]:#x}")
         try:
             msg = wire.unpack(raw)
-        except BadVersion:
-            self._send(m.OfMessage(0, m.Error(m.OFPET_HELLO_FAILED,
-                                              m.OFPHFC_INCOMPATIBLE,
-                                              raw[:_ERROR_PREFIX_LEN])))
-            return
         except CodecError as exc:
+            # a frame that does not decode is still answered under its own xid
+            xid = int.from_bytes(raw[4:8], "big")
             err_type, code = _error_for(exc)
-            self._send(m.OfMessage(0, m.Error(err_type, code,
-                                              raw[:_ERROR_PREFIX_LEN])))
+            self._send(m.OfMessage(xid, m.Error(err_type, code, raw[:_ERROR_PREFIX_LEN])))
             return
         self.trace.append(("rx", msg))
         reply = None
@@ -198,7 +199,7 @@ class SwitchConnection:
         elif kind == m.OFPMP_EXPERIMENTER and isinstance(req.body, m.StateStatsRequest):
             body = self.dp.state_stats(req.body.table_id)
         else:
-            raise CodecError(f"unsupported multipart kind {kind}")
+            raise BadMultipart(f"unsupported multipart kind {kind}")
         return m.MultipartReply(kind, body)
 
 

@@ -23,6 +23,10 @@ class BadType(CodecError):
     pass
 
 
+class BadMultipart(BadType):
+    """A multipart request or reply of a kind the switch does not know."""
+
+
 class BadMatch(CodecError):
     pass
 

@@ -113,19 +113,19 @@ OFPET_GROUP_MOD_FAILED = 6
 OFPET_METER_MOD_FAILED = 12
 OFPET_EXPERIMENTER = 0xFFFF
 
-# a few error codes the switch emits
+# the error codes the switch emits, numbered as in OpenFlow 1.3's openflow.h
 OFPHFC_INCOMPATIBLE = 0
 OFPBRC_BAD_TYPE = 1
-OFPBRC_BAD_LEN = 2
+OFPBRC_BAD_MULTIPART = 2
+OFPBRC_BAD_LEN = 6
 OFPBRC_BAD_TABLE_ID = 9
 OFPBRC_BAD_PACKET = 12
-OFPFMFC_OVERLAP = 1
 OFPFMFC_BAD_TABLE_ID = 2
+OFPFMFC_OVERLAP = 3
 OFPBIC_BAD_TABLE_ID = 2
 OFPBMC_BAD_FIELD = 6
-OFPGMFC_INVALID_GROUP = 10
-OFPGMFC_UNKNOWN_GROUP = 0xF0  # internal rendering only
-OFPMMFC_UNKNOWN_METER = 8
+OFPGMFC_INVALID_GROUP = 1
+OFPMMFC_UNKNOWN_METER = 3
 
 
 # -- actions -----------------------------------------------------------------

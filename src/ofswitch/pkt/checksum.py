@@ -4,13 +4,19 @@ from __future__ import annotations
 
 
 def internet_checksum(data: bytes) -> int:
+    """RFC 1071 checksum of ``data``, zero-padded to an even length.
+
+    2**16 is 1 modulo 0xFFFF, so the one's-complement sum of the 16-bit
+    words is the whole buffer read as one integer, modulo 0xFFFF, with a
+    nonzero multiple of 0xFFFF read as 0xFFFF (only an all-zero input sums
+    to 0).  The checksum is that sum complemented.
+    """
     if len(data) % 2:
         data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
+    whole = int.from_bytes(data, "big")
+    total = whole % 0xFFFF
+    if total == 0 and whole:
+        total = 0xFFFF
     return ~total & 0xFFFF
 
 

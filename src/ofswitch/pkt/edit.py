@@ -1,8 +1,21 @@
 """In-place packet mutation: set-field and tag push/pop.
 
-Set-field updates the buffer and the field map incrementally; a full
-reparse must agree afterwards (that is the test oracle).  Tag push/pop
-reparse, since they shift every later offset.
+Set-field writes every buffer field through one table, ``FIELD_POSITIONS``:
+``{header kind: {field: (byte offset, byte span[, shift, bit mask])}}``.
+The byte offset counts from the start of the header, whose position the
+packet's ``Layout`` holds; a field with a shift and bit mask holds the bits
+``mask << shift`` of its span.  A field the table leaves out is not writable
+and raises ``FieldAbsent``: ``ip_proto``, the inner QinQ tag, and
+``eth_type``, since a new ethertype changes how the rest of the frame parses.
+
+The field map holds what the buffer holds: a write stores the value with the
+field's mask applied, and bits of the stored value outside the mask (the
+VLAN present bit) keep their value, so a reparse of the buffer agrees with
+the field map (that is the test oracle).  Checksums are recomputed only when
+the written header is one they cover: IPv4, IPv6 (through the
+pseudo-header), TCP, UDP, ICMP or ICMPv6.
+
+Tag push/pop reparse, since they shift every later offset.
 """
 
 from __future__ import annotations
@@ -13,12 +26,47 @@ from . import checksum as ck
 from .parse import (
     ETHERTYPE_MPLS,
     ETHERTYPE_VLAN,
+    Layout,
     PacketHandle,
     parse,
 )
 
 # Pseudo-fields live only in the field map, not in the buffer.
 PSEUDO_FIELDS = {"in_port", "in_phy_port", "metadata", "state", "tunnel_id"}
+
+FIELD_POSITIONS = {
+    "eth": {"eth_dst": (0, 6), "eth_src": (6, 6)},
+    "vlan": {"vlan_vid": (2, 2, 0, 0x0FFF), "vlan_pcp": (2, 1, 5, 0x07)},
+    "mpls": {"mpls_label": (0, 4, 12, 0xFFFFF), "mpls_tc": (0, 4, 9, 0x07),
+             "mpls_bos": (0, 4, 8, 0x01)},
+    "ipv4": {"ip_dscp": (1, 1, 2, 0x3F), "ip_ecn": (1, 1, 0, 0x03),
+             "ipv4_src": (12, 4), "ipv4_dst": (16, 4)},
+    # the traffic class straddles the first two bytes
+    "ipv6": {"ip_dscp": (0, 2, 6, 0x3F), "ip_ecn": (0, 2, 4, 0x03),
+             "ipv6_flabel": (0, 4, 0, 0xFFFFF), "ipv6_src": (8, 16), "ipv6_dst": (24, 16)},
+    "arp": {"arp_op": (6, 2), "arp_sha": (8, 6), "arp_spa": (14, 4),
+            "arp_tha": (18, 6), "arp_tpa": (24, 4)},
+    "tcp": {"tcp_src": (0, 2), "tcp_dst": (2, 2)},
+    "udp": {"udp_src": (0, 2), "udp_dst": (2, 2)},
+    "icmp": {"icmpv4_type": (0, 1), "icmpv4_code": (1, 1)},
+    "icmp6": {"icmpv6_type": (0, 1), "icmpv6_code": (1, 1)},
+}
+
+_CHECKSUMMED = {"ipv4", "ipv6", "tcp", "udp", "icmp", "icmp6"}
+
+
+def _headers(lay: Layout):
+    """(kind, offset) of each header a set-field can reach, outermost first;
+    a tag stack is reached through its outermost entry."""
+    yield "eth", 0
+    if lay.vlan_tags:
+        yield "vlan", lay.vlan_tags[0]
+    if lay.mpls_entries:
+        yield "mpls", lay.mpls_entries[0]
+    if lay.l3_kind:
+        yield lay.l3_kind, lay.l3_off
+    if lay.l4_kind:
+        yield lay.l4_kind, lay.l4_off
 
 
 def _fix_checksums(handle: PacketHandle) -> None:
@@ -31,126 +79,38 @@ def _fix_checksums(handle: PacketHandle) -> None:
         )
 
 
-def _write_vid(handle, value: bytes) -> None:
-    off = handle.layout.vlan_tags[0]
-    vid = int.from_bytes(value, "big") & 0x0FFF
-    tci = int.from_bytes(handle.buffer[off + 2:off + 4], "big")
-    tci = (tci & 0xF000) | vid
-    handle.buffer[off + 2:off + 4] = tci.to_bytes(2, "big")
-    handle.fields["vlan_vid"] = (0x1000 | vid).to_bytes(2, "big")
-
-
-def _write_pcp(handle, value: bytes) -> None:
-    off = handle.layout.vlan_tags[0]
-    tci = int.from_bytes(handle.buffer[off + 2:off + 4], "big")
-    tci = (tci & 0x1FFF) | ((value[0] & 0x07) << 13)
-    handle.buffer[off + 2:off + 4] = tci.to_bytes(2, "big")
-
-
-def _write_tos(handle, dscp=None, ecn=None) -> None:
-    lay = handle.layout
-    if lay.l3_kind == "ipv4":
-        tos = handle.buffer[lay.l3_off + 1]
-        if dscp is not None:
-            tos = (dscp << 2) | (tos & 0x03)
-        if ecn is not None:
-            tos = (tos & 0xFC) | ecn
-        handle.buffer[lay.l3_off + 1] = tos
-    else:  # ipv6 traffic class straddles the first two bytes
-        off = lay.l3_off
-        tc = ((handle.buffer[off] & 0x0F) << 4) | (handle.buffer[off + 1] >> 4)
-        if dscp is not None:
-            tc = (dscp << 2) | (tc & 0x03)
-        if ecn is not None:
-            tc = (tc & 0xFC) | ecn
-        handle.buffer[off] = (handle.buffer[off] & 0xF0) | (tc >> 4)
-        handle.buffer[off + 1] = (handle.buffer[off + 1] & 0x0F) | ((tc & 0x0F) << 4)
-
-
-def _write_mpls(handle, label=None, tc=None, bos=None) -> None:
-    off = handle.layout.mpls_entries[0]
-    entry = int.from_bytes(handle.buffer[off:off + 4], "big")
-    if label is not None:
-        entry = (entry & 0x00000FFF) | ((label & 0xFFFFF) << 12)
-    if tc is not None:
-        entry = (entry & ~0x00000E00) | ((tc & 0x07) << 9)
-    if bos is not None:
-        entry = (entry & ~0x00000100) | ((bos & 0x01) << 8)
-    handle.buffer[off:off + 4] = entry.to_bytes(4, "big")
-
-
 def apply_set_field(handle: PacketHandle, name: str, value) -> None:
-    """Rewrite one header field in place; checksums are recomputed."""
+    """Rewrite one header field in place, then the checksums covering it."""
     if name not in handle.fields:
         raise FieldAbsent(f"packet carries no {name}")
-    vb = encode_value(name, value) if name != "vlan_vid_inner" else value
-
     if name in PSEUDO_FIELDS:
+        vb = encode_value(name, value)
         handle.fields[name] = vb
         if name == "in_port":
             handle.in_port = int.from_bytes(vb, "big")
         return
 
-    lay = handle.layout
-    buf = handle.buffer
-    if name == "eth_dst":
-        buf[0:6] = vb
-    elif name == "eth_src":
-        buf[6:12] = vb
-    elif name == "eth_type":
-        buf[lay.eth_type_off:lay.eth_type_off + 2] = vb
-    elif name == "vlan_vid":
-        _write_vid(handle, vb)
-        return  # vid writer maintains the presence bit in the field map
-    elif name == "vlan_pcp":
-        _write_pcp(handle, vb)
-    elif name == "ip_dscp":
-        _write_tos(handle, dscp=vb[0] & 0x3F)
-    elif name == "ip_ecn":
-        _write_tos(handle, ecn=vb[0] & 0x03)
-    elif name == "ipv4_src":
-        buf[lay.l3_off + 12:lay.l3_off + 16] = vb
-    elif name == "ipv4_dst":
-        buf[lay.l3_off + 16:lay.l3_off + 20] = vb
-    elif name == "ip_proto":
-        raise FieldAbsent("ip_proto is not writable")
-    elif name in ("tcp_src", "udp_src"):
-        buf[lay.l4_off:lay.l4_off + 2] = vb
-    elif name in ("tcp_dst", "udp_dst"):
-        buf[lay.l4_off + 2:lay.l4_off + 4] = vb
-    elif name == "icmpv4_type" or name == "icmpv6_type":
-        buf[lay.l4_off] = vb[0]
-    elif name == "icmpv4_code" or name == "icmpv6_code":
-        buf[lay.l4_off + 1] = vb[0]
-    elif name == "arp_op":
-        buf[lay.l3_off + 6:lay.l3_off + 8] = vb
-    elif name == "arp_sha":
-        buf[lay.l3_off + 8:lay.l3_off + 14] = vb
-    elif name == "arp_spa":
-        buf[lay.l3_off + 14:lay.l3_off + 18] = vb
-    elif name == "arp_tha":
-        buf[lay.l3_off + 18:lay.l3_off + 24] = vb
-    elif name == "arp_tpa":
-        buf[lay.l3_off + 24:lay.l3_off + 28] = vb
-    elif name == "ipv6_src":
-        buf[lay.l3_off + 8:lay.l3_off + 24] = vb
-    elif name == "ipv6_dst":
-        buf[lay.l3_off + 24:lay.l3_off + 40] = vb
-    elif name == "ipv6_flabel":
-        word = int.from_bytes(buf[lay.l3_off:lay.l3_off + 4], "big")
-        word = (word & ~0xFFFFF) | (int.from_bytes(vb, "big") & 0xFFFFF)
-        buf[lay.l3_off:lay.l3_off + 4] = word.to_bytes(4, "big")
-    elif name == "mpls_label":
-        _write_mpls(handle, label=int.from_bytes(vb, "big"))
-    elif name == "mpls_tc":
-        _write_mpls(handle, tc=vb[0])
-    elif name == "mpls_bos":
-        _write_mpls(handle, bos=vb[0])
+    for kind, start in _headers(handle.layout):
+        pos = FIELD_POSITIONS[kind].get(name)
+        if pos is not None:
+            break
     else:
         raise FieldAbsent(f"{name} is not writable")
-
+    vb = encode_value(name, value)
+    buf = handle.buffer
+    off, span = start + pos[0], pos[1]
+    if len(pos) == 2:
+        buf[off:off + span] = vb
+    else:
+        shift, mask = pos[2], pos[3]
+        bits = int.from_bytes(vb, "big") & mask
+        word = int.from_bytes(buf[off:off + span], "big") & ~(mask << shift)
+        buf[off:off + span] = (word | bits << shift).to_bytes(span, "big")
+        kept = int.from_bytes(handle.fields[name], "big") & ~mask
+        vb = (kept | bits).to_bytes(len(vb), "big")
     handle.fields[name] = vb
-    _fix_checksums(handle)
+    if kind in _CHECKSUMMED:
+        _fix_checksums(handle)
 
 
 def _reparse_into(handle: PacketHandle) -> None:

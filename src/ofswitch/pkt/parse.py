@@ -34,7 +34,11 @@ _MAX_STEPS = 64  # runaway guard; far above any legal header chain
 
 
 class Layout:
-    """Byte positions of parsed headers, used for in-place edits."""
+    """Byte positions of parsed headers, used for in-place edits.
+
+    No code changes a Layout after parse: set-field moves no header, and tag
+    push/pop assign a fresh one.  Clones therefore share it.
+    """
 
     __slots__ = ("vlan_tags", "mpls_entries", "l3_kind", "l3_off", "l3_hlen",
                  "l4_kind", "l4_off", "l4_end", "eth_type_off")
@@ -73,11 +77,9 @@ class PacketHandle:
         return len(self.buffer)
 
     def clone(self) -> "PacketHandle":
-        h = parse(bytes(self.buffer), self.in_port)
+        """An independent copy: its own buffer and field map, the same Layout."""
+        h = PacketHandle(bytearray(self.buffer), self.in_port, dict(self.fields), self.layout)
         h.metadata = self.metadata
-        for k in ("metadata", "state", "tunnel_id"):
-            if k in self.fields:
-                h.fields[k] = self.fields[k]
         return h
 
 

@@ -11,7 +11,15 @@ from __future__ import annotations
 import struct
 
 from . import messages as m
-from .errors import BadLength, BadMatch, BadType, BadVersion, DesyncError, Unencodable
+from .errors import (
+    BadLength,
+    BadMatch,
+    BadMultipart,
+    BadType,
+    BadVersion,
+    DesyncError,
+    Unencodable,
+)
 from .oxm import (
     OFPXMC_EXPERIMENTER,
     STATE_EXPERIMENTER_ID,
@@ -604,7 +612,7 @@ def _unpack_mp_request_body(kind: int, r: _Reader):
         if exp_id == STATE_EXPERIMENTER_ID and exp_type == 1:
             return m.StateStatsRequest(*r.read(_STATE_STATS_REQUEST))
         return _EXPERIMENTER.pack(exp_id, exp_type) + r.take(r.remaining())
-    raise BadType(f"unknown multipart kind {kind}")
+    raise BadMultipart(f"unknown multipart kind {kind}")
 
 
 def _unpack_flow_stats(r: _Reader) -> m.FlowStats:
@@ -668,7 +676,7 @@ def _unpack_mp_reply_body(kind: int, r: _Reader):
                 entries.append((key, state))
             return m.StateStats(table_id, tuple(entries))
         return _EXPERIMENTER.pack(exp_id, exp_type) + r.take(r.remaining())
-    raise BadType(f"unknown multipart kind {kind}")
+    raise BadMultipart(f"unknown multipart kind {kind}")
 
 
 def _unpack_body(msg_type: int, r: _Reader):

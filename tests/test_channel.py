@@ -1,6 +1,7 @@
 """Controller channel: sans-IO session behaviour and the TCP transport."""
 
 import socket
+import struct
 import threading
 
 import pytest
@@ -187,6 +188,45 @@ def test_short_packet_out_gets_bad_packet_error(session):
     po = m.PacketOut(m.OFP_NO_BUFFER, m.OFPP_CONTROLLER, [m.OutputAction(1)], b"\x00" * 5)
     err = _one_error(conn, pipe, 21, po)
     assert (err.err_type, err.code) == (m.OFPET_BAD_REQUEST, m.OFPBRC_BAD_PACKET)
+
+
+def test_error_codes_are_openflow_13_numbers(session):
+    """The literal (type, code) pairs of openflow.h 1.3, not the symbols."""
+    conn, pipe = session
+    conn.feed(flow_mod_bytes(match=MatchSet.from_pairs({})))
+    conn.feed(flow_mod_bytes(xid=8, match=MatchSet.from_pairs({"in_port": 1}),
+                             flags=m.OFPFF_CHECK_OVERLAP))
+    conn.feed(wire.pack(m.OfMessage(9, m.GroupMod(
+        command=m.OFPGC_MODIFY, group_type=m.OFPGT_ALL, group_id=42,
+        buckets=[m.Bucket(actions=[m.OutputAction(2)])]))))
+    conn.feed(wire.pack(m.OfMessage(10, m.MeterMod(
+        command=m.OFPMC_MODIFY, flags=m.OFPMF_PKTPS, meter_id=42,
+        bands=[m.DropBand(100, 10)]))))
+    conn.feed(bytes([4, 14, 0, 12, 0, 0, 0, 11]) + b"\x00" * 4)  # a 12-byte FlowMod
+    assert [(e.body.err_type, e.body.code) for e in pipe.messages()] == [
+        (5, 3), (6, 1), (12, 3), (1, 6)]
+
+
+def _raw_request(msg_type: int, xid: int, body: bytes) -> bytes:
+    return struct.pack("!BBHI", 4, msg_type, 8 + len(body), xid) + body
+
+
+@pytest.mark.parametrize("raw, code", [
+    (_raw_request(99, 31, b"abcd"), m.OFPBRC_BAD_TYPE),
+    (_raw_request(m.OFPT_MULTIPART_REQUEST, 32, struct.pack("!HH4x", 3, 0)),  # OFPMP_TABLE
+     m.OFPBRC_BAD_MULTIPART),
+    (wire.pack(m.OfMessage(33, m.MultipartRequest(
+        m.OFPMP_EXPERIMENTER, struct.pack("!II", 0xDEADBEEF, 1)))), m.OFPBRC_BAD_MULTIPART),
+    (_raw_request(m.OFPT_FLOW_MOD, 34, b"\x00" * 4), m.OFPBRC_BAD_LEN),
+], ids=["unknown-type", "unknown-multipart-kind", "unserved-multipart", "short-flow-mod"])
+def test_undecodable_request_gets_its_xid_and_code(session, raw, code):
+    conn, pipe = session
+    conn.feed(raw)
+    replies = pipe.messages()
+    assert len(replies) == 1
+    assert replies[0].xid == struct.unpack_from("!I", raw, 4)[0]
+    assert (replies[0].body.err_type, replies[0].body.code) == (m.OFPET_BAD_REQUEST, code)
+    assert conn.state == "active"
 
 
 _CONFIG = encode_state_table_config(StateTableConfig(0, ["eth_src"], ["eth_src"]))

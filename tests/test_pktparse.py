@@ -1,5 +1,7 @@
 """Packet parser and editor tests."""
 
+import copy
+import random
 import struct
 
 import pytest
@@ -29,6 +31,24 @@ def test_checksum_matches_reference():
     for blob in (b"", b"\x00\x01", b"\x45\x00\x00\x73\x00\x00\x40\x00\x40\x11",
                  bytes(range(97)), b"\xff" * 40):
         assert internet_checksum(blob) == ref_checksum(blob)
+
+
+def _sums_to_ffff(data: bytes) -> bytes:
+    """``data`` padded to even length and followed by its checksum: the
+    one's-complement sum of the result is 0xFFFF, a multiple of 0xFFFF."""
+    data += b"\x00" * (len(data) % 2)
+    return data + ref_checksum(data).to_bytes(2, "big")
+
+
+@given(data=st.one_of(
+    st.binary(max_size=300),
+    st.integers(0, 300).map(lambda n: b"\x00" * n),
+    st.integers(0, 300).map(lambda n: b"\xff" * n),
+    st.binary(max_size=300).map(_sums_to_ffff),
+))
+@settings(max_examples=400, deadline=None)
+def test_checksum_fold_matches_reference(data):
+    assert internet_checksum(data) == ref_checksum(data)
 
 
 def test_ipv4_header_checksum_validates():
@@ -182,6 +202,86 @@ def test_clone_is_independent():
     assert h.fields["eth_dst"] == bytes.fromhex("0a0000000002")
     assert c.fields["eth_dst"] == bytes.fromhex("0a0000000001")
     assert c.in_port == 3
+
+
+def _ipv6(next_hdr: int, payload: bytes) -> bytes:
+    src = bytes.fromhex("20010db8000000000000000000000001")
+    dst = bytes.fromhex("20010db8000000000000000000000002")
+    return struct.pack("!IHBB", 0x6A312345, len(payload), next_hdr, 64) + src + dst + payload
+
+
+def _mpls_frame() -> bytes:
+    inner = build.ipv4("10.0.0.1", "10.0.0.2", 17, build.udp(1, 2, b"m"))
+    stack = struct.pack("!II", (100 << 12) | (5 << 9) | 64, (200 << 12) | 0x100 | 64)
+    return build.ethernet(MAC_B, MAC_A, 0x8847, stack + inner)
+
+
+ORACLE_FRAMES = {
+    "udp": build.udp4_frame(MAC_B, MAC_A, "10.0.0.1", "10.0.0.2", 1000, 2000, b"data",
+                            dscp=46),
+    "tcp": build.tcp4_frame(MAC_B, MAC_A, "10.0.0.1", "10.0.0.2", 4321, 80, b"GET /"),
+    "icmp": build.ethernet(MAC_B, MAC_A, 0x0800, build.ipv4(
+        "10.0.0.1", "10.0.0.2", 1, struct.pack("!BBHI", 8, 0, 0, 7) + b"ping", ecn=1)),
+    "arp": build.arp_frame(1, MAC_A, "10.0.0.1", "00:00:00:00:00:00", "10.0.0.2"),
+    "ipv6_udp": build.ethernet(MAC_B, MAC_A, 0x86DD, _ipv6(17, build.udp(9999, 53, b"q"))),
+    "icmpv6": build.ethernet(MAC_B, MAC_A, 0x86DD,
+                             _ipv6(58, struct.pack("!BBHI", 128, 0, 0, 1))),
+    "qinq": build.qinq(MAC_B, MAC_A, 200, 30, 0x0800,
+                       build.ipv4("10.0.0.1", "10.0.0.2", 17, build.udp(1, 2, b"x"))),
+    "mpls": _mpls_frame(),
+}
+
+# fields a parse reports but set-field may not write
+NOT_WRITABLE = {"eth_type", "ip_proto", "vlan_vid_inner", "vlan_pcp_inner"}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_FRAMES))
+def test_set_field_agrees_with_reparse(kind):
+    """Whatever value a field is set to, the field map holds what a reparse
+    of the rewritten buffer reads, and a clone holds the same."""
+    frame = ORACLE_FRAMES[kind]
+    rng = random.Random(kind)
+    for name, raw in parse(frame, 3).fields.items():
+        ones = (1 << 8 * len(raw)) - 1
+        for value in (0, 0xFF, ones, rng.randint(0, ones)):
+            h = parse(frame, 3)
+            if name in NOT_WRITABLE:
+                with pytest.raises(FieldAbsent):
+                    apply_set_field(h, name, value)
+                assert bytes(h.buffer) == frame
+                continue
+            apply_set_field(h, name, value)
+            assert parse(bytes(h.buffer), h.in_port).fields == h.fields, (name, value)
+            c = h.clone()
+            assert c.buffer == h.buffer and c.buffer is not h.buffer
+            assert c.fields == h.fields and c.fields is not h.fields
+
+
+def test_mac_rewrite_leaves_the_rest_of_the_frame():
+    # a UDP checksum of zero means "none" and is not the one a recompute writes
+    frame = bytearray(build.udp4_frame(MAC_B, MAC_A, "10.0.0.1", "10.0.0.2", 1, 2, b"z"))
+    frame[40:42] = b"\x00\x00"
+    h = parse(frame, 1)
+    apply_set_field(h, "eth_dst", MAC_A)
+    assert bytes(h.buffer[:6]) == build.mac(MAC_A)
+    assert h.buffer[12:] == frame[12:]
+
+
+def _layout_state(lay):
+    return {k: getattr(lay, k) for k in type(lay).__slots__}
+
+
+def test_push_tag_on_clone_leaves_original():
+    frame = build.udp4_frame(MAC_B, MAC_A, "10.0.0.1", "10.0.0.2", 1, 2, b"c")
+    h = parse(frame, 3)
+    fields, layout = dict(h.fields), copy.deepcopy(_layout_state(h.layout))
+    for kind in ("vlan", "mpls"):
+        c = h.clone()
+        push_tag(c, kind)
+        assert len(c.buffer) == len(frame) + 4
+        assert bytes(h.buffer) == frame
+        assert h.fields == fields
+        assert _layout_state(h.layout) == layout
 
 
 @given(sport=st.integers(0, 65535), dport=st.integers(0, 65535),
