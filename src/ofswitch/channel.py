@@ -13,6 +13,7 @@ import itertools
 import socket
 import socketserver
 import threading
+from collections import deque
 
 from . import messages as m
 from . import wire
@@ -36,6 +37,7 @@ from .errors import (
 )
 
 _ERROR_PREFIX_LEN = 64  # how much of the offending message an Error echoes back
+TRACE_LEN = 1024  # the newest ("rx" | "tx", message) pairs a session keeps
 
 CAPABILITIES = 0x0F  # flow, table, port and group statistics
 
@@ -74,7 +76,7 @@ class SwitchConnection:
         self._buf = wire.FrameBuffer()
         self._xids = itertools.count(0x10000)  # switch-initiated xids
         self._lock = lock if lock is not None else threading.Lock()
-        self.trace: list[tuple[str, m.OfMessage]] = []
+        self.trace: deque[tuple[str, m.OfMessage]] = deque(maxlen=TRACE_LEN)
         if attach:
             datapath.packet_in_sink = self.emit_packet_in
             datapath.flow_removed_sink = self.emit_flow_removed

@@ -30,6 +30,7 @@ from .pkt.parse import PacketHandle, parse as parse_packet
 from .ports import PortRegistry
 from .stateful import (
     PacketTemplate,
+    SetStateEntry,
     StateTable,
     StateTableConfig,
     decode_experimenter,
@@ -160,9 +161,10 @@ class Datapath:
         if cmd in (m.OFPFC_MODIFY, m.OFPFC_MODIFY_STRICT):
             table = self._table(fm.table_id)
             strict = cmd == m.OFPFC_MODIFY_STRICT
+            FlowEntry(fm.match, fm.priority, fm.instructions).validate_instructions(
+                fm.table_id, self.n_tables)
             for e in table.select(fm.match, strict, fm.priority, fm.cookie, fm.cookie_mask):
                 e.instructions = fm.instructions
-                e.validate_instructions(fm.table_id, self.n_tables)
             return
         if cmd in (m.OFPFC_DELETE, m.OFPFC_DELETE_STRICT):
             strict = cmd == m.OFPFC_DELETE_STRICT
@@ -222,13 +224,9 @@ class Datapath:
     def set_state_entry(self, table_id: int, key: bytes, state: int,
                         idle_timeout=0, idle_rollback=0,
                         hard_timeout=0, hard_rollback=0) -> None:
-        st = self._state_table(table_id)
-        st.set_state(
-            key,
-            m.SetStateAction(table_id, state, idle_timeout, idle_rollback,
-                             hard_timeout, hard_rollback),
-            self.clock(),
-        )
+        action = m.SetStateAction(table_id, state, idle_timeout, idle_rollback,
+                                  hard_timeout, hard_rollback)
+        self._state_table(table_id).set_state(key, action, self.clock())
 
     def del_state_entry(self, table_id: int, key: bytes) -> None:
         self._state_table(table_id).delete(key)
@@ -239,18 +237,17 @@ class Datapath:
 
     def apply_experimenter(self, body: m.Experimenter) -> bool:
         """Apply a stateful-control experimenter message; False if foreign."""
-        decoded = decode_experimenter(body)
-        if decoded is None:
+        cmd = decode_experimenter(body)
+        if cmd is None:
             return False
-        if isinstance(decoded, StateTableConfig):
-            self.configure_state_table(decoded)
-        elif isinstance(decoded, PacketTemplate):
-            self.register_template(decoded)
-        elif decoded[0] == "set_state_entry":
-            _, table_id, key, state, it, ir, ht, hr = decoded
-            self.set_state_entry(table_id, key, state, it, ir, ht, hr)
-        elif decoded[0] == "del_state_entry":
-            self.del_state_entry(decoded[1], decoded[2])
+        if isinstance(cmd, StateTableConfig):
+            self.configure_state_table(cmd)
+        elif isinstance(cmd, PacketTemplate):
+            self.register_template(cmd)
+        elif isinstance(cmd, SetStateEntry):
+            self._state_table(cmd.action.table_id).set_state(cmd.key, cmd.action, self.clock())
+        else:
+            self.del_state_entry(cmd.table_id, cmd.key)
         return True
 
     # -- data plane ------------------------------------------------------------------

@@ -36,8 +36,10 @@ set_field:FIELD=VALUE, push_vlan[:TPID], pop_vlan, push_mpls[:ETHERTYPE],
 pop_mpls[:ETHERTYPE], set_state:TABLE@STATE[@IDLE[@IDLE_RB[@HARD[@HARD_RB]]]],
 pkt_gen:ID[:stop].
 
-KEY syntax: dotted IPv4 (10.0.0.1), colon-separated hex bytes
-(aa:bb:cc:dd:ee:ff), or plain hex digits.
+KEY and the VALUE of a match field or set_field share one syntax: dotted
+IPv4 (10.0.0.1), colon-separated hex bytes (aa:bb:cc:dd:ee:ff), IPv6
+(fe80::1), or plain hex digits (0102aa).  A field VALUE that reads as an
+integer (42, 0x2a) is taken as one.
 
 Exit codes: 0 success, 1 switch reported an error, 2 bad usage,
 3 could not connect.
@@ -48,16 +50,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import socket
+import struct
 import sys
 
 from . import messages as m
 from . import wire
-from .errors import ConnectError, ProtocolError, UsageError
-from .oxm import FIELDS, MatchSet, make_field
+from .errors import CodecError, ConnectError, ProtocolError, StatefulError, UsageError
+from .oxm import FIELDS, MatchSet, make_field, parse_bytes
 from .stateful import (
-    EGRESS_IN_PORT,
-    EGRESS_PIPELINE,
-    EGRESS_PORT,
     PacketTemplate,
     StateTableConfig,
     TemplateSlot,
@@ -91,12 +91,23 @@ _GROUP_TYPES = {
     "ff": m.OFPGT_FF,
 }
 _METER_CMDS = {"add": m.OFPMC_ADD, "modify": m.OFPMC_MODIFY, "delete": m.OFPMC_DELETE}
+_BAND_KINDS = {"drop": m.DropBand, "dscp_remark": m.DscpRemarkBand}
 
 _FLOW_FLAGS = {
     "send_flow_rem": m.OFPFF_SEND_FLOW_REM,
     "check_overlap": m.OFPFF_CHECK_OVERLAP,
 }
 _METER_FLAGS = {"kbps": m.OFPMF_KBPS, "pktps": m.OFPMF_PKTPS, "burst": m.OFPMF_BURST}
+
+_INSTRUCTIONS = {
+    "apply": m.ApplyActions,
+    "write": m.WriteActions,
+    "goto": m.GotoTable,
+    "meter": m.MeterInstruction,
+}
+_FLOW_MOD_INTS = {"table": "table_id", "prio": "priority", "idle": "idle_timeout",
+                  "hard": "hard_timeout"}
+_STATE_TIMERS = ("idle", "idle_rb", "hard", "hard_rb")
 
 
 def _int(token: str, text: str) -> int:
@@ -106,29 +117,23 @@ def _int(token: str, text: str) -> int:
         raise UsageError(f"{token!r}: expected an integer, got {text!r}") from None
 
 
+def _choice(table: dict, what: str, name: str):
+    """The value a named choice (a command, group type, flag or band kind) stands for."""
+    if name not in table:
+        raise UsageError(f"unknown {what} {name!r}")
+    return table[name]
+
+
 def _parse_port(token: str, text: str) -> int:
     if text in _RESERVED_PORTS:
         return _RESERVED_PORTS[text]
     return _int(token, text)
 
 
-def _parse_key(token: str, text: str) -> bytes:
-    try:
-        if "." in text:
-            return socket.inet_aton(text)
-        if ":" in text:
-            return bytes(int(b, 16) for b in text.split(":"))
-        return bytes.fromhex(text)
-    except (OSError, ValueError):
-        raise UsageError(f"{token!r}: cannot parse key {text!r}") from None
-
-
 def _parse_flags(table: dict, text: str, what: str) -> int:
     flags = 0
     for name in text.split(","):
-        if name not in table:
-            raise UsageError(f"unknown {what} {name!r}")
-        flags |= table[name]
+        flags |= _choice(table, what, name)
     return flags
 
 
@@ -179,16 +184,10 @@ def _parse_action(token: str) -> object:
         return m.PopMplsAction(_int(token, arg) if arg else 0x0800)
     if kind == "set_state":
         parts = arg.split("@")
-        if len(parts) < 2:
-            raise UsageError(f"{token!r}: expected set_state:TABLE@STATE")
-        if len(parts) > 6:
-            raise UsageError(f"{token!r}: at most 4 timer values")
-        table_id = _int(token, parts[0])
-        state = _int(token, parts[1])
-        timeouts = [0, 0, 0, 0]
-        for i, v in enumerate(parts[2:]):
-            timeouts[i] = _int(token, v)
-        return m.SetStateAction(table_id, state, *timeouts)
+        if not 2 <= len(parts) <= 6:
+            raise UsageError(
+                f"{token!r}: expected set_state:TABLE@STATE[@IDLE[@IDLE_RB[@HARD[@HARD_RB]]]]")
+        return m.SetStateAction(*(_int(token, p) for p in parts))
     if kind == "pkt_gen":
         parts = arg.split(":")
         stop = len(parts) > 1 and parts[1] == "stop"
@@ -196,7 +195,7 @@ def _parse_action(token: str) -> object:
     raise UsageError(f"unknown action {token!r}")
 
 
-def _parse_actions(token: str, text: str) -> list:
+def _parse_actions(text: str) -> list:
     return [_parse_action(t) for t in text.split(",") if t]
 
 
@@ -218,6 +217,14 @@ class Command:
 
 
 def parse_command(argv: list[str]) -> Command:
+    try:
+        return _parse_command(argv)
+    except (ValueError, CodecError, StatefulError, struct.error) as exc:
+        # malformed input caught before any connection: bad usage, exit 2
+        raise UsageError(str(exc)) from None
+
+
+def _parse_command(argv: list[str]) -> Command:
     json_out = False
     timeout = 10.0
     xid = 1
@@ -242,6 +249,7 @@ def parse_command(argv: list[str]) -> Command:
         raise UsageError(f"endpoint {endpoint_text!r} must be HOST:PORT")
     endpoint = (host, _int("endpoint", port_text))
     body = _build_body(verb, tokens)
+    wire.pack(m.OfMessage(xid, body))  # raises on a value too wide for its wire field
     return Command(endpoint, body, verb, json_out, timeout, xid)
 
 
@@ -249,193 +257,129 @@ def _usage(text: str):
     raise UsageError(text)
 
 
-def _opts(tokens: list[str]) -> dict[str, str]:
-    out = {}
+def _options(verb: str, tokens: list[str], required=(), optional=(), repeated=(),
+             fields: bool = False) -> dict:
+    """A verb's KEY=VALUE tokens as {KEY: VALUE}, with a list for each repeated KEY.
+
+    With ``fields`` a match field name is a KEY too.  A KEY the verb does not
+    take, a required one left out or another one given twice is a usage error.
+    """
+    opts: dict = {key: [] for key in repeated}
     for t in tokens:
         key, sep, value = t.partition("=")
         if not sep:
             raise UsageError(f"expected KEY=VALUE, got {t!r}")
-        out[key] = value
-    return out
+        if key in repeated:
+            opts[key].append(value)
+        elif key in opts:
+            raise UsageError(f"{key}= given twice")
+        elif key in required or key in optional or (fields and key in FIELDS):
+            opts[key] = value
+        else:
+            raise UsageError(f"unknown token {t!r}")
+    missing = [f"{key}=..." for key in required if key not in opts]
+    if missing:
+        raise UsageError(f"{verb} needs {' and '.join(missing)}")
+    return opts
+
+
+def _match(opts: dict) -> MatchSet:
+    return MatchSet(_parse_match_field(k, v) for k, v in opts.items() if k in FIELDS)
 
 
 def _build_body(verb: str, tokens: list[str]):
     if verb == "features":
-        if tokens:
-            raise UsageError(f"features takes no tokens, got {tokens[0]!r}")
+        _options(verb, tokens)
         return m.FeaturesRequest()
     if verb == "flow-mod":
         return _build_flow_mod(tokens)
     if verb == "stats-flow":
-        table_id = m.OFPTT_ALL
-        match = MatchSet()
-        for t in tokens:
-            key, sep, value = t.partition("=")
-            if not sep:
-                raise UsageError(f"expected KEY=VALUE, got {t!r}")
-            if key == "table":
-                table_id = _int(t, value)
-            elif key in FIELDS:
-                match.add(_parse_match_field(key, value))
-            else:
-                raise UsageError(f"unknown token {t!r}")
-        return m.MultipartRequest(m.OFPMP_FLOW, m.FlowStatsRequest(table_id, match=match))
+        o = _options(verb, tokens, optional=("table",), fields=True)
+        table_id = _int("table", o["table"]) if "table" in o else m.OFPTT_ALL
+        return m.MultipartRequest(m.OFPMP_FLOW, m.FlowStatsRequest(table_id, match=_match(o)))
     if verb == "stats-port":
-        opts = _opts(tokens)
-        port = _parse_port("port", opts.pop("port")) if "port" in opts else m.OFPP_ANY
-        _reject_unknown(opts)
+        o = _options(verb, tokens, optional=("port",))
+        port = _parse_port("port", o["port"]) if "port" in o else m.OFPP_ANY
         return m.MultipartRequest(m.OFPMP_PORT_STATS, m.PortStatsRequest(port))
     if verb == "port-desc":
-        if tokens:
-            raise UsageError(f"port-desc takes no tokens, got {tokens[0]!r}")
+        _options(verb, tokens)
         return m.MultipartRequest(m.OFPMP_PORT_DESC, m.PortDescRequest())
     if verb == "stats-group":
-        opts = _opts(tokens)
-        gid = _int("group", opts.pop("group")) if "group" in opts else m.OFPG_ALL
-        _reject_unknown(opts)
+        o = _options(verb, tokens, optional=("group",))
+        gid = _int("group", o["group"]) if "group" in o else m.OFPG_ALL
         return m.MultipartRequest(m.OFPMP_GROUP, m.GroupStatsRequest(gid))
     if verb == "stats-meter":
-        opts = _opts(tokens)
-        mid = _int("meter", opts.pop("meter")) if "meter" in opts else 0xFFFFFFFF
-        _reject_unknown(opts)
+        o = _options(verb, tokens, optional=("meter",))
+        mid = _int("meter", o["meter"]) if "meter" in o else 0xFFFFFFFF
         return m.MultipartRequest(m.OFPMP_METER, m.MeterStatsRequest(mid))
     if verb == "group-mod":
-        return _build_group_mod(tokens)
+        o = _options(verb, tokens, ("cmd", "group"), ("type",), ("bucket",))
+        return m.GroupMod(_choice(_GROUP_CMDS, "group-mod cmd", o["cmd"]),
+                          _choice(_GROUP_TYPES, "group type", o.get("type", "all")),
+                          _int("group", o["group"]),
+                          [_parse_bucket(text) for text in o["bucket"]])
     if verb == "meter-mod":
-        return _build_meter_mod(tokens)
+        o = _options(verb, tokens, ("cmd", "meter"), ("flags",), ("band",))
+        return m.MeterMod(_choice(_METER_CMDS, "meter-mod cmd", o["cmd"]),
+                          _parse_flags(_METER_FLAGS, o.get("flags", "kbps"), "meter flag"),
+                          _int("meter", o["meter"]),
+                          [_parse_band(text) for text in o["band"]])
     if verb == "state-config":
-        opts = _opts(tokens)
-        try:
-            cfg = StateTableConfig(
-                _int("table", opts.pop("table")),
-                opts.pop("lookup").split(","),
-                opts.pop("update").split(","),
-            )
-        except KeyError as exc:
-            raise UsageError(f"state-config needs {exc.args[0]}=...") from None
-        _reject_unknown(opts)
-        cfg.validate()
-        return encode_state_table_config(cfg)
+        o = _options(verb, tokens, ("table", "lookup", "update"))
+        return encode_state_table_config(StateTableConfig(
+            _int("table", o["table"]), o["lookup"].split(","), o["update"].split(",")))
     if verb == "set-state":
-        opts = _opts(tokens)
-        try:
-            table = _int("table", opts.pop("table"))
-            key = _parse_key("key", opts.pop("key"))
-            state = _int("state", opts.pop("state"))
-        except KeyError as exc:
-            raise UsageError(f"set-state needs {exc.args[0]}=...") from None
-        timers = [_int(k, opts.pop(k)) if k in opts else 0
-                  for k in ("idle", "idle_rb", "hard", "hard_rb")]
-        _reject_unknown(opts)
-        return encode_set_state_entry(table, key, state, *timers)
+        o = _options(verb, tokens, ("table", "key", "state"), _STATE_TIMERS)
+        return encode_set_state_entry(_int("table", o["table"]), parse_bytes(o["key"]),
+                                      _int("state", o["state"]),
+                                      *(_int(k, o.get(k, "0")) for k in _STATE_TIMERS))
     if verb == "del-state":
-        opts = _opts(tokens)
-        try:
-            table = _int("table", opts.pop("table"))
-            key = _parse_key("key", opts.pop("key"))
-        except KeyError as exc:
-            raise UsageError(f"del-state needs {exc.args[0]}=...") from None
-        _reject_unknown(opts)
-        return encode_del_state_entry(table, key)
+        o = _options(verb, tokens, ("table", "key"))
+        return encode_del_state_entry(_int("table", o["table"]), parse_bytes(o["key"]))
     if verb == "state-stats":
-        opts = _opts(tokens)
-        try:
-            table = _int("table", opts.pop("table"))
-        except KeyError:
-            raise UsageError("state-stats needs table=N") from None
-        _reject_unknown(opts)
-        return m.MultipartRequest(m.OFPMP_EXPERIMENTER, m.StateStatsRequest(table))
+        o = _options(verb, tokens, ("table",))
+        return m.MultipartRequest(m.OFPMP_EXPERIMENTER,
+                                  m.StateStatsRequest(_int("table", o["table"])))
     if verb == "pkt-template":
-        return _build_pkt_template(tokens)
+        o = _options(verb, tokens, ("id", "data"), ("egress",), ("slot",))
+        kind, has_port, port = o.get("egress", "in_port").partition(":")
+        egress = (kind, _int("egress", port)) if has_port else (kind,)
+        slots = []
+        for text in o["slot"]:
+            offset, _, name = text.partition(":")
+            slots.append(TemplateSlot(_int("slot", offset), name))
+        return encode_pkt_template(
+            PacketTemplate(_int("id", o["id"]), parse_bytes(o["data"]), slots, egress))
     raise UsageError(f"unknown verb {verb!r}")
 
 
-def _reject_unknown(opts: dict) -> None:
-    if opts:
-        raise UsageError(f"unknown token {next(iter(opts))!r}")
-
-
 def _build_flow_mod(tokens: list[str]) -> m.FlowMod:
-    fm = m.FlowMod()
-    have_cmd = False
     instructions = []
+    rest = []
     for t in tokens:
+        kind, sep, text = t.partition(":")
         if t == "clear":
             instructions.append(m.ClearActions())
-            continue
-        if ":" in t and t.split(":", 1)[0] in ("apply", "write", "goto", "meter"):
-            kind, text = t.split(":", 1)
-            if kind == "apply":
-                instructions.append(m.ApplyActions(_parse_actions(t, text)))
-            elif kind == "write":
-                instructions.append(m.WriteActions(_parse_actions(t, text)))
-            elif kind == "goto":
-                instructions.append(m.GotoTable(_int(t, text)))
-            else:
-                instructions.append(m.MeterInstruction(_int(t, text)))
-            continue
-        key, sep, value = t.partition("=")
-        if not sep:
-            raise UsageError(f"expected KEY=VALUE, got {t!r}")
-        if key == "cmd":
-            if value not in _FLOW_CMDS:
-                raise UsageError(f"unknown flow-mod cmd {value!r}")
-            fm.command = _FLOW_CMDS[value]
-            have_cmd = True
-        elif key == "table":
-            fm.table_id = _int(t, value)
-        elif key == "prio":
-            fm.priority = _int(t, value)
-        elif key == "idle":
-            fm.idle_timeout = _int(t, value)
-        elif key == "hard":
-            fm.hard_timeout = _int(t, value)
-        elif key == "cookie":
-            if "/" in value:
-                c, cm = value.split("/", 1)
-                fm.cookie, fm.cookie_mask = _int(t, c), _int(t, cm)
-            else:
-                fm.cookie = _int(t, value)
-        elif key == "flags":
-            fm.flags |= _parse_flags(_FLOW_FLAGS, value, "flag")
-        elif key in FIELDS:
-            fm.match.add(_parse_match_field(key, value))
+        elif sep and kind in _INSTRUCTIONS:
+            arg = _parse_actions(text) if kind in ("apply", "write") else _int(t, text)
+            instructions.append(_INSTRUCTIONS[kind](arg))
         else:
-            raise UsageError(f"unknown token {t!r}")
-    if not have_cmd:
-        raise UsageError("flow-mod needs cmd=add|modify|delete|...")
-    return dataclasses.replace(fm, instructions=instructions)
+            rest.append(t)
+    o = _options("flow-mod", rest, ("cmd",), (*_FLOW_MOD_INTS, "cookie", "flags"), fields=True)
+    cookie, has_mask, cookie_mask = o.get("cookie", "0").partition("/")
+    return m.FlowMod(
+        command=_choice(_FLOW_CMDS, "flow-mod cmd", o["cmd"]),
+        match=_match(o),
+        cookie=_int("cookie", cookie),
+        cookie_mask=_int("cookie", cookie_mask) if has_mask else 0,
+        flags=_parse_flags(_FLOW_FLAGS, o["flags"], "flag") if "flags" in o else 0,
+        instructions=instructions,
+        **{attr: _int(key, o[key]) for key, attr in _FLOW_MOD_INTS.items() if key in o},
+    )
 
 
-def _build_group_mod(tokens: list[str]) -> m.GroupMod:
-    cmd = None
-    gtype = m.OFPGT_ALL
-    gid = None
-    buckets = []
-    for t in tokens:
-        key, sep, value = t.partition("=")
-        if not sep:
-            raise UsageError(f"expected KEY=VALUE, got {t!r}")
-        if key == "cmd":
-            if value not in _GROUP_CMDS:
-                raise UsageError(f"unknown group-mod cmd {value!r}")
-            cmd = _GROUP_CMDS[value]
-        elif key == "type":
-            if value not in _GROUP_TYPES:
-                raise UsageError(f"unknown group type {value!r}")
-            gtype = _GROUP_TYPES[value]
-        elif key == "group":
-            gid = _int(t, value)
-        elif key == "bucket":
-            buckets.append(_parse_bucket(t, value))
-        else:
-            raise UsageError(f"unknown token {t!r}")
-    if cmd is None or gid is None:
-        raise UsageError("group-mod needs cmd=... and group=N")
-    return m.GroupMod(cmd, gtype, gid, buckets)
-
-
-def _parse_bucket(token: str, text: str) -> m.Bucket:
+def _parse_bucket(text: str) -> m.Bucket:
+    token = f"bucket={text}"
     weight = 0
     watch_port = m.OFPP_ANY
     watch_group = m.OFPG_ANY
@@ -455,85 +399,14 @@ def _parse_bucket(token: str, text: str) -> m.Bucket:
     return m.Bucket(actions, weight, watch_port, watch_group)
 
 
-def _build_meter_mod(tokens: list[str]) -> m.MeterMod:
-    cmd = None
-    mid = None
-    flags = m.OFPMF_KBPS
-    bands = []
-    for t in tokens:
-        key, sep, value = t.partition("=")
-        if not sep:
-            raise UsageError(f"expected KEY=VALUE, got {t!r}")
-        if key == "cmd":
-            if value not in _METER_CMDS:
-                raise UsageError(f"unknown meter-mod cmd {value!r}")
-            cmd = _METER_CMDS[value]
-        elif key == "meter":
-            mid = _int(t, value)
-        elif key == "flags":
-            flags = _parse_flags(_METER_FLAGS, value, "meter flag")
-        elif key == "band":
-            parts = value.split(":")
-            if parts[0] == "drop":
-                if len(parts) < 2:
-                    raise UsageError(f"{t!r}: band=drop:RATE[:BURST]")
-                bands.append(m.DropBand(_int(t, parts[1]),
-                                        _int(t, parts[2]) if len(parts) > 2 else 0))
-            elif parts[0] == "dscp_remark":
-                if len(parts) < 2:
-                    raise UsageError(f"{t!r}: band=dscp_remark:RATE[:BURST][:PREC]")
-                bands.append(m.DscpRemarkBand(
-                    _int(t, parts[1]),
-                    _int(t, parts[2]) if len(parts) > 2 else 0,
-                    _int(t, parts[3]) if len(parts) > 3 else 1,
-                ))
-            else:
-                raise UsageError(f"unknown band kind {parts[0]!r}")
-        else:
-            raise UsageError(f"unknown token {t!r}")
-    if cmd is None or mid is None:
-        raise UsageError("meter-mod needs cmd=... and meter=N")
-    return m.MeterMod(cmd, flags, mid, bands)
-
-
-def _build_pkt_template(tokens: list[str]):
-    opts = []
-    tmpl_id = None
-    data = None
-    egress = (EGRESS_IN_PORT,)
-    slots = []
-    for t in tokens:
-        key, sep, value = t.partition("=")
-        if not sep:
-            raise UsageError(f"expected KEY=VALUE, got {t!r}")
-        if key == "id":
-            tmpl_id = _int(t, value)
-        elif key == "data":
-            try:
-                data = bytes.fromhex(value)
-            except ValueError:
-                raise UsageError(f"{t!r}: data must be hex") from None
-        elif key == "egress":
-            if value == "in_port":
-                egress = (EGRESS_IN_PORT,)
-            elif value == "pipeline":
-                egress = (EGRESS_PIPELINE,)
-            elif value.startswith("port:"):
-                egress = (EGRESS_PORT, _int(t, value[5:]))
-            else:
-                raise UsageError(f"{t!r}: egress=port:N|in_port|pipeline")
-        elif key == "slot":
-            off_text, sep2, field_name = value.partition(":")
-            if not sep2 or field_name not in FIELDS:
-                raise UsageError(f"{t!r}: slot=OFFSET:FIELD")
-            slots.append(TemplateSlot(_int(t, off_text), field_name))
-        else:
-            raise UsageError(f"unknown token {t!r}")
-    if tmpl_id is None or data is None:
-        raise UsageError("pkt-template needs id=N and data=HEX")
-    tmpl = PacketTemplate(tmpl_id, data, slots, egress)
-    tmpl.validate()
-    return encode_pkt_template(tmpl)
+def _parse_band(text: str):
+    """`KIND:RATE[:BURST]`, and `[:PREC]` after a dscp_remark band."""
+    kind, *args = text.split(":")
+    band = _choice(_BAND_KINDS, "band kind", kind)
+    if not 1 <= len(args) <= len(dataclasses.fields(band)):
+        raise UsageError(f"'band={text}': expected band=drop:RATE[:BURST] "
+                         "or band=dscp_remark:RATE[:BURST][:PREC]")
+    return band(*(_int(f"band={text}", a) for a in args))
 
 
 # -- execution --------------------------------------------------------------------

@@ -7,6 +7,7 @@ representation.
 
 from __future__ import annotations
 
+import ipaddress
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
@@ -100,7 +101,33 @@ def field_by_key(oxm_class: int, field_id: int) -> Optional[OxmType]:
     return _BY_KEY.get((oxm_class, field_id))
 
 
+def parse_bytes(text: str, nbytes: int = 0) -> bytes:
+    """Bytes written as text: dotted IPv4 (10.0.0.1), colon-separated hex
+    bytes (aa:bb:cc:dd:ee:ff), IPv6 (fe80::1) or plain hex digits (0102aa).
+
+    Colon-separated text is IPv6 when a group is wider than two digits or
+    empty (``::``), or when it is read for a 16-byte field (``nbytes``), so
+    that ``1:2:3:4:5:6:7:8`` names an address there and eight bytes elsewhere.
+    """
+    try:
+        if ":" in text:
+            groups = text.split(":")
+            if nbytes != 16 and all(len(g) in (1, 2) for g in groups):
+                return bytes.fromhex("".join(g.zfill(2) for g in groups))
+            return ipaddress.IPv6Address(text).packed
+        if "." not in text:
+            return bytes.fromhex(text)
+        parts = text.split(".")
+        if len(parts) == 4 and text.isascii() and all(p.isdigit() for p in parts):
+            return bytes(int(p) for p in parts)
+    except ValueError:
+        pass
+    raise BadMatch(f"cannot read {text!r} as bytes")
+
+
 def _to_bytes(value: Union[int, str, bytes, bytearray], nbytes: int) -> bytes:
+    if isinstance(value, str):
+        value = parse_bytes(value, nbytes)
     if isinstance(value, (bytes, bytearray)):
         if len(value) != nbytes:
             raise BadMatch(f"value is {len(value)} bytes, expected {nbytes}")
@@ -109,22 +136,6 @@ def _to_bytes(value: Union[int, str, bytes, bytearray], nbytes: int) -> bytes:
         if value < 0 or value >= 1 << (8 * nbytes):
             raise BadMatch(f"value {value} out of range for {nbytes}-byte field")
         return value.to_bytes(nbytes, "big")
-    if isinstance(value, str):
-        if ":" in value and nbytes == 6:  # MAC
-            parts = value.split(":")
-            if len(parts) != 6:
-                raise BadMatch(f"bad MAC {value!r}")
-            return bytes(int(p, 16) for p in parts)
-        if "." in value and nbytes == 4:  # dotted IPv4
-            parts = value.split(".")
-            if len(parts) != 4:
-                raise BadMatch(f"bad IPv4 {value!r}")
-            return bytes(int(p) for p in parts)
-        if ":" in value and nbytes == 16:  # IPv6, minimal grammar
-            import ipaddress
-
-            return ipaddress.IPv6Address(value).packed
-        raise BadMatch(f"cannot coerce {value!r} to a {nbytes}-byte field")
     raise BadMatch(f"unsupported value type {type(value).__name__}")
 
 

@@ -27,9 +27,9 @@ EXPMSG_SET_STATE_ENTRY = 2
 EXPMSG_DEL_STATE_ENTRY = 3
 EXPMSG_SET_PKT_TEMPLATE = 4
 
-EGRESS_PORT = "port"
-EGRESS_IN_PORT = "in_port"
-EGRESS_PIPELINE = "pipeline"
+# Where a generated packet goes.  A kind's index here is its wire
+# ``egress_kind``; only "port" carries a port number.
+EGRESS_KINDS = ("port", "in_port", "pipeline")
 
 
 def _scope_width(scope: list[str]) -> int:
@@ -151,9 +151,12 @@ class PacketTemplate:
     template_id: int
     data: bytes
     slots: list[TemplateSlot] = field(default_factory=list)
-    egress: tuple = (EGRESS_IN_PORT,)  # (kind,) or ("port", port_no)
+    egress: tuple = ("in_port",)  # (kind,) or ("port", port_no)
 
     def validate(self) -> None:
+        kind = self.egress[0]
+        if kind not in EGRESS_KINDS or len(self.egress) != 1 + (kind == "port"):
+            raise BadTemplate(f"bad template egress {self.egress!r}")
         if len(self.data) < 14:
             raise BadTemplate("template below the Ethernet minimum")
         for s in self.slots:
@@ -172,6 +175,20 @@ class PacketTemplate:
             if v is not None:
                 out[s.offset:s.offset + len(v)] = v
         return bytes(out)
+
+
+@dataclass
+class SetStateEntry:
+    """Write one state entry from the controller; ``action`` names the table,
+    the state and its rollback timers, as a set-state action does."""
+    key: bytes
+    action: SetStateAction
+
+
+@dataclass
+class DelStateEntry:
+    table_id: int
+    key: bytes
 
 
 # -- experimenter wire layouts ------------------------------------------------------
@@ -205,6 +222,7 @@ def _decode_scope(r: _Reader, count: int) -> list[str]:
 
 
 def encode_state_table_config(cfg: StateTableConfig) -> Experimenter:
+    cfg.validate()
     payload = _TABLE_CONFIG.pack(cfg.table_id, len(cfg.lookup_scope), len(cfg.update_scope))
     payload += _encode_scope(cfg.lookup_scope) + _encode_scope(cfg.update_scope)
     return Experimenter(STATE_EXPERIMENTER_ID, EXPMSG_SET_STATE_TABLE_CONFIG, payload)
@@ -226,15 +244,11 @@ def encode_del_state_entry(table_id: int, key: bytes) -> Experimenter:
 
 
 def encode_pkt_template(tmpl: PacketTemplate) -> Experimenter:
+    tmpl.validate()
     kind = tmpl.egress[0]
-    if kind == EGRESS_PORT:
-        egress_kind, egress_port = 0, tmpl.egress[1]
-    elif kind == EGRESS_IN_PORT:
-        egress_kind, egress_port = 1, 0
-    else:
-        egress_kind, egress_port = 2, 0
     payload = _PKT_TEMPLATE.pack(
-        tmpl.template_id, egress_kind, len(tmpl.slots), len(tmpl.data), egress_port
+        tmpl.template_id, EGRESS_KINDS.index(kind), len(tmpl.slots), len(tmpl.data),
+        tmpl.egress[1] if kind == "port" else 0,
     )
     for s in tmpl.slots:
         t = FIELDS[s.source_field]
@@ -242,7 +256,9 @@ def encode_pkt_template(tmpl: PacketTemplate) -> Experimenter:
     return Experimenter(STATE_EXPERIMENTER_ID, EXPMSG_SET_PKT_TEMPLATE, payload + tmpl.data)
 
 
-def decode_experimenter(body: Experimenter):
+def decode_experimenter(
+    body: Experimenter,
+) -> StateTableConfig | SetStateEntry | DelStateEntry | PacketTemplate | None:
     """Decode a stateful-control experimenter message into a typed command.
 
     Returns None for foreign experimenter ids (carried opaquely elsewhere).
@@ -259,11 +275,11 @@ def decode_experimenter(body: Experimenter):
         return StateTableConfig(table_id, lookup, update)
     if body.exp_type == EXPMSG_SET_STATE_ENTRY:
         table_id, key_len, state, idle_t, idle_r, hard_t, hard_r = r.read(_SET_STATE_ENTRY)
-        key = r.take(key_len)
-        return ("set_state_entry", table_id, key, state, idle_t, idle_r, hard_t, hard_r)
+        action = SetStateAction(table_id, state, idle_t, idle_r, hard_t, hard_r)
+        return SetStateEntry(r.take(key_len), action)
     if body.exp_type == EXPMSG_DEL_STATE_ENTRY:
         table_id, key_len = r.read(_DEL_STATE_ENTRY)
-        return ("del_state_entry", table_id, r.take(key_len))
+        return DelStateEntry(table_id, r.take(key_len))
     if body.exp_type == EXPMSG_SET_PKT_TEMPLATE:
         template_id, egress_kind, n_slots, data_len, egress_port = r.read(_PKT_TEMPLATE)
         slots = []
@@ -274,10 +290,9 @@ def decode_experimenter(body: Experimenter):
                 raise BadTemplate("unknown slot field in template message")
             slots.append(TemplateSlot(offset, t.name))
         tmpl_data = r.take(data_len)
-        egress = {0: (EGRESS_PORT, egress_port), 1: (EGRESS_IN_PORT,), 2: (EGRESS_PIPELINE,)}.get(
-            egress_kind
-        )
-        if egress is None:
+        if egress_kind >= len(EGRESS_KINDS):
             raise BadTemplate(f"unknown template egress kind {egress_kind}")
+        kind = EGRESS_KINDS[egress_kind]
+        egress = (kind, egress_port) if kind == "port" else (kind,)
         return PacketTemplate(template_id, tmpl_data, slots, egress)
     raise BadTable(f"unknown stateful experimenter subtype {body.exp_type}")

@@ -12,6 +12,7 @@ from ofswitch.channel import (
     CAPABILITIES,
     SwitchConnection,
     SwitchTcpServer,
+    TRACE_LEN,
     connect_active,
 )
 from ofswitch.errors import HelloFailed
@@ -333,6 +334,16 @@ def test_trace_records_both_directions(session):
     conn.feed(wire.pack(m.OfMessage(1, m.EchoRequest(b""))))
     dirs = [d for d, _ in conn.trace]
     assert "rx" in dirs and "tx" in dirs
+
+
+def test_trace_keeps_only_the_newest_messages(session):
+    conn, pipe = session
+    for xid in range(TRACE_LEN):
+        conn.feed(wire.pack(m.OfMessage(xid, m.EchoRequest(b""))))
+    assert len(conn.trace) == TRACE_LEN
+    direction, last = conn.trace[-1]
+    assert direction == "tx" and last.xid == TRACE_LEN - 1
+    assert isinstance(last.body, m.EchoReply)
 
 
 # -- TCP transport --------------------------------------------------------------

@@ -2,6 +2,9 @@
 a live switch over loopback TCP."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +18,7 @@ from ofswitch.messages import SetStateAction
 
 
 EP = "127.0.0.1:6653"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def cmd(*tokens):
@@ -120,7 +124,7 @@ def test_meter_mod_bands():
 def test_key_syntax_variants():
     def key_of(text):
         c = cmd("set-state", "table=0", f"key={text}", "state=1")
-        return decode_experimenter(c.body)[2]  # (tag, table, key, state, ...)
+        return decode_experimenter(c.body).key
 
     assert key_of("10.0.0.1") == bytes([10, 0, 0, 1])
     assert key_of("aa:bb:cc:dd:ee:ff") == bytes.fromhex("aabbccddeeff")
@@ -146,6 +150,48 @@ def test_pkt_template_grammar():
 def test_unknown_verb():
     with pytest.raises(UsageError, match="frobnicate"):
         cmd("frobnicate")
+
+
+@pytest.mark.parametrize("text", ["10.1", "1.2.3", "10.0.0.256"])
+def test_key_syntax_rejects_short_or_wide_ipv4(text):
+    with pytest.raises(UsageError):
+        cmd("set-state", "table=0", f"key={text}", "state=1")
+
+
+@pytest.mark.parametrize("text, egress", [
+    ("in_port", ("in_port",)), ("pipeline", ("pipeline",)), ("port:3", ("port", 3)),
+])
+def test_pkt_template_egress_forms(text, egress):
+    c = cmd("pkt-template", "id=1", "data=" + "00" * 20, f"egress={text}")
+    assert decode_experimenter(c.body).egress == egress
+
+
+@pytest.mark.parametrize("text", ["port", "port:", "bogus", "in_port:3", "pipeline:1"])
+def test_pkt_template_rejects_other_egress(text):
+    with pytest.raises(UsageError):
+        cmd("pkt-template", "id=1", "data=" + "00" * 20, f"egress={text}")
+
+
+@pytest.mark.parametrize("tokens", [
+    ["flow-mod", "cmd=add", "ipv4_dst=10.0.0.300"],
+    ["flow-mod", "cmd=add", "apply:set_field:ipv4_dst=1.2.3.999"],
+    ["flow-mod", "cmd=add", "eth_dst=zz:00:00:00:00:00"],
+    ["flow-mod", "cmd=add", "in_port=99999999999"],
+    ["state-config", "table=0", "lookup=bogus", "update=eth_src"],
+    ["state-config", "table=0", "lookup=eth_src", "update=ipv4_src"],
+    ["pkt-template", "id=1", "data=00"],
+    ["features", "--timeout", "abc"],
+], ids=["ipv4-octet", "set-field-ipv4", "mac-digits", "port-width", "scope-field",
+        "scope-width", "template-size", "timeout"])
+def test_malformed_input_exits_2_without_traceback(tokens):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "ofswitch.dpctl", EP, *tokens],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "usage error" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # -- execution over TCP ------------------------------------------------------------

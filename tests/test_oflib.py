@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from ofswitch import messages as m
 from ofswitch import wire
-from ofswitch.errors import BadLength, BadVersion, CodecError, DesyncError
-from ofswitch.oxm import STATE_EXPERIMENTER_ID, MatchSet, make_field
+from ofswitch.errors import BadLength, BadMatch, BadVersion, CodecError, DesyncError
+from ofswitch.oxm import STATE_EXPERIMENTER_ID, MatchSet, make_field, parse_bytes
 from ofswitch.stateful import decode_experimenter
 
 
@@ -285,3 +285,27 @@ def test_header_length_is_recomputed():
     msg = m.OfMessage(1, m.EchoRequest(b"abcdef"))
     raw = wire.pack(msg)
     assert struct.unpack("!H", raw[2:4])[0] == len(raw) == 14
+
+
+def test_ipv6_fields_take_compressed_and_full_addresses():
+    assert make_field("ipv6_dst", "fe80::1").value == bytes.fromhex("fe80" + "00" * 12 + "0001")
+    full = make_field("ipv6_dst", "1:2:3:4:5:6:7:8").value
+    assert full == bytes.fromhex("00010002000300040005000600070008")
+
+
+@pytest.mark.parametrize("text, nbytes, value", [
+    ("10.0.0.1", 4, "0a000001"),
+    ("aa:bb:cc:dd:ee:ff", 6, "aabbccddeeff"),
+    ("1:2:3:4:5:6:7:8", 0, "0102030405060708"),
+    ("::ffff:1.2.3.4", 16, "00000000000000000000ffff01020304"),
+    ("0102aa", 3, "0102aa"),
+])
+def test_byte_text_forms(text, nbytes, value):
+    assert parse_bytes(text, nbytes) == bytes.fromhex(value)
+
+
+@pytest.mark.parametrize("text", ["10.1", "1.2.3", "10.0.0.256", "1.2.3.999",
+                                  "zz:00:00:00:00:00", "0x10", "abc"])
+def test_byte_text_rejects_malformed(text):
+    with pytest.raises(BadMatch):
+        parse_bytes(text)

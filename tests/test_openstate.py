@@ -8,7 +8,9 @@ from ofswitch.errors import BadTemplate, ScopeWidthMismatch
 from ofswitch.oxm import MatchSet
 from ofswitch.pkt import build
 from ofswitch.stateful import (
+    DelStateEntry,
     PacketTemplate,
+    SetStateEntry,
     StateTableConfig,
     TemplateSlot,
     decode_experimenter,
@@ -209,3 +211,26 @@ def test_arp_responder_end_to_end(datapath):
     assert f["arp_tha"] == bytes.fromhex("0a0000000001")
     assert f["arp_tpa"] == bytes([10, 0, 0, 1])
     assert f["eth_dst"] == bytes.fromhex("0a0000000001")
+
+
+@pytest.mark.parametrize("body, command", [
+    (encode_state_table_config(StateTableConfig(2, ["ipv4_src", "udp_src"],
+                                                ["ipv4_dst", "udp_dst"])),
+     StateTableConfig(2, ["ipv4_src", "udp_src"], ["ipv4_dst", "udp_dst"])),
+    (encode_set_state_entry(1, b"\x0a\x00\x00\x09", 4, 10, 1, 60, 2),
+     SetStateEntry(b"\x0a\x00\x00\x09", m.SetStateAction(1, 4, 10, 1, 60, 2))),
+    (encode_del_state_entry(3, b"\x01" * 6), DelStateEntry(3, b"\x01" * 6)),
+    (encode_pkt_template(PacketTemplate(7, b"\x00" * 20, [TemplateSlot(6, "eth_src")],
+                                        ("pipeline",))),
+     PacketTemplate(7, b"\x00" * 20, [TemplateSlot(6, "eth_src")], ("pipeline",))),
+], ids=["table-config", "set-state", "del-state", "pkt-template"])
+def test_every_stateful_command_decodes_to_its_typed_value(body, command):
+    assert decode_experimenter(body) == command
+
+
+@pytest.mark.parametrize("egress", [("port",), ("bogus",), ("in_port", 3), ("port", 1, 2)])
+def test_pkt_template_rejects_a_malformed_egress(egress):
+    with pytest.raises(BadTemplate):
+        PacketTemplate(1, b"\x00" * 20, [], egress).validate()
+    with pytest.raises(BadTemplate):
+        encode_pkt_template(PacketTemplate(1, b"\x00" * 20, [], egress))

@@ -5,6 +5,7 @@ import pytest
 
 from ofswitch import messages as m
 from ofswitch.datapath import Datapath
+from ofswitch.errors import BadInstruction
 from ofswitch.oxm import MatchSet
 from ofswitch.pkt import build
 
@@ -195,3 +196,15 @@ def test_64_tables_default_and_bounds():
     assert len(dp.tables) == 64
     with pytest.raises(Exception):
         Datapath(n_tables=0)
+
+
+def test_rejected_modify_leaves_entries_alone():
+    dp = Datapath(n_tables=4)
+    dp.ports.add(1)
+    dp.ports.add(2)
+    add(dp, prio=1, insts=[m.ApplyActions([m.OutputAction(2)])])
+    before = dp.tables[0].entries[0].instructions
+    with pytest.raises(BadInstruction):
+        dp.flow_mod(m.FlowMod(command=m.OFPFC_MODIFY, instructions=[m.GotoTable(9)]))
+    assert dp.tables[0].entries[0].instructions == before
+    assert dp.receive_packet(1, frame()).egress == [(2, frame())]
