@@ -18,8 +18,11 @@ from collections import deque
 from . import messages as m
 from . import wire
 from .errors import (
+    BadActionType,
+    BadBandType,
     BadGroupId,
     BadInstruction,
+    BadInstructionType,
     BadMatch,
     BadMeterId,
     BadMultipart,
@@ -53,6 +56,9 @@ _ERROR_MAP = [
     (StatefulError, (m.OFPET_EXPERIMENTER, 1)),
     (BadVersion, (m.OFPET_HELLO_FAILED, m.OFPHFC_INCOMPATIBLE)),
     (BadMultipart, (m.OFPET_BAD_REQUEST, m.OFPBRC_BAD_MULTIPART)),
+    (BadActionType, (m.OFPET_BAD_ACTION, m.OFPBAC_BAD_TYPE)),
+    (BadInstructionType, (m.OFPET_BAD_INSTRUCTION, m.OFPBIC_UNKNOWN_INST)),
+    (BadBandType, (m.OFPET_METER_MOD_FAILED, m.OFPMMFC_BAD_BAND)),
     (BadType, (m.OFPET_BAD_REQUEST, m.OFPBRC_BAD_TYPE)),
     (CodecError, (m.OFPET_BAD_REQUEST, m.OFPBRC_BAD_LEN)),
     (ParseError, (m.OFPET_BAD_REQUEST, m.OFPBRC_BAD_PACKET)),

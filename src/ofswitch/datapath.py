@@ -4,6 +4,11 @@ instruction and action execution.
 A datapath instance is single-threaded by contract: packets, control
 messages and timer ticks must be serialized by the caller.  Time comes from
 an injected monotonic clock so tests and the harness are deterministic.
+
+``Datapath._output`` is the one egress path: output actions, group buckets,
+template egress and packet-out all hand it a port number and a frame, and
+only it adds frames to a ``PipelineResult``.  Group buckets and re-entries
+through ``OFPP_TABLE`` share one nesting budget, ``MAX_DEPTH``.
 """
 
 from __future__ import annotations
@@ -37,8 +42,10 @@ from .stateful import (
 )
 
 DEFAULT_N_TABLES = 64
-_MAX_GROUP_DEPTH = 16
-_MAX_PKT_GEN_DEPTH = 4
+MAX_DEPTH = 16  # how deep group buckets and OFPP_TABLE re-entries may nest
+
+# the output port of each template egress kind other than "port"
+_TEMPLATE_PORT = {"in_port": m.OFPP_IN_PORT, "pipeline": m.OFPP_TABLE}
 
 
 @dataclass
@@ -71,33 +78,6 @@ _SET_STAGE = {
     m.GroupAction: 8,
     m.OutputAction: 9,
 }
-
-
-class ActionSet:
-    """Write-actions accumulator: one action per slot, later writes win."""
-
-    def __init__(self):
-        self._slots: dict = {}
-        self._seq = 0
-
-    def write(self, actions) -> None:
-        for a in actions:
-            if isinstance(a, m.SetFieldAction):
-                key = (m.SetFieldAction, a.field.oxm_class, a.field.field_id)
-            else:
-                key = type(a)
-            self._seq += 1
-            self._slots[key] = (_SET_STAGE.get(type(a), 7), self._seq, a)
-
-    def clear(self) -> None:
-        self._slots.clear()
-
-    def ordered(self) -> list:
-        actions = sorted(self._slots.values())
-        out = [a for (_, _, a) in actions]
-        if any(isinstance(a, m.GroupAction) for a in out):
-            out = [a for a in out if not isinstance(a, m.OutputAction)]
-        return out
 
 
 class Datapath:
@@ -271,8 +251,7 @@ class Datapath:
 
     def transmit(self, res: PipelineResult) -> None:
         for port_no, frame in res.egress:
-            if self.ports.exists(port_no):
-                self.ports.get(port_no).transmit(frame)
+            self.ports.get(port_no).transmit(frame)
         if self.packet_in_sink:
             for ev in res.packet_ins:
                 self.packet_in_sink(ev)
@@ -282,8 +261,7 @@ class Datapath:
         now = self.clock()
         self.packets_processed += 1
         res = PipelineResult()
-        handle.action_set = ActionSet()
-        self._walk_tables(handle, res, now, start_table=0)
+        self._walk_tables(handle, res, now, 0)
         self._account(res)
         return res
 
@@ -296,9 +274,9 @@ class Datapath:
             res.dropped = True
             self.packets_dropped += 1
 
-    def _walk_tables(self, handle, res, now, start_table: int) -> None:
-        table_id = start_table
-        entry = None
+    def _walk_tables(self, handle, res, now, depth: int) -> None:
+        table_id = 0
+        action_set: dict = {}  # one action per slot, in order of last write
         for _ in range(self.n_tables + 1):
             st = self.state_tables.get(table_id)
             if st is not None:
@@ -311,13 +289,16 @@ class Datapath:
             next_table = None
             for ins in entry.instructions:
                 if isinstance(ins, m.ApplyActions):
-                    stop = self._execute_actions(ins.actions, handle, res, entry, now)
-                    if stop:
+                    if self._execute_actions(ins.actions, handle, res, entry, now, depth):
                         return
                 elif isinstance(ins, m.WriteActions):
-                    handle.action_set.write(ins.actions)
+                    for a in ins.actions:
+                        slot = ((m.SetFieldAction, a.field.oxm_class, a.field.field_id)
+                                if isinstance(a, m.SetFieldAction) else type(a))
+                        action_set.pop(slot, None)
+                        action_set[slot] = a
                 elif isinstance(ins, m.ClearActions):
-                    handle.action_set.clear()
+                    action_set.clear()
                 elif isinstance(ins, m.WriteMetadata):
                     handle.metadata = (handle.metadata & ~ins.mask) | (ins.metadata & ins.mask)
                     handle.fields["metadata"] = handle.metadata.to_bytes(8, "big")
@@ -332,8 +313,11 @@ class Datapath:
             if next_table is None:
                 break
             table_id = next_table
-        if entry is not None:
-            self._execute_actions(handle.action_set.ordered(), handle, res, entry, now)
+        if action_set:
+            if m.GroupAction in action_set:
+                action_set.pop(m.OutputAction, None)
+            actions = sorted(action_set.values(), key=lambda a: _SET_STAGE.get(type(a), 7))
+            self._execute_actions(actions, handle, res, entry, now, depth)
 
     def _remark_dscp(self, handle, prec_level: int) -> None:
         raw = handle.fields.get("ip_dscp")
@@ -348,12 +332,12 @@ class Datapath:
             except FieldAbsent:
                 pass
 
-    def _execute_actions(self, actions, handle, res, entry, now, depth: int = 0) -> bool:
+    def _execute_actions(self, actions, handle, res, entry, now, depth: int) -> bool:
         """Run a list of actions; returns True when the packet must stop
         (a pkt-gen action with the stop flag consumed it)."""
         for a in actions:
             if isinstance(a, m.OutputAction):
-                self._output(a.port, handle, res, entry)
+                self._output(a.port, bytes(handle.buffer), handle.in_port, res, entry, now, depth)
             elif isinstance(a, m.GroupAction):
                 self._apply_group(a.group_id, handle, res, entry, now, depth)
             elif isinstance(a, m.SetFieldAction):
@@ -380,7 +364,13 @@ class Datapath:
             elif isinstance(a, m.SetStateAction):
                 self._do_set_state(a, handle, now)
             elif isinstance(a, m.PktGenAction):
-                self._do_pkt_gen(a, handle, res, entry, now, depth)
+                tmpl = self.templates.get(a.template_id)
+                if tmpl is None:
+                    raise BadTemplate(f"template {a.template_id} is not registered")
+                kind = tmpl.egress[0]
+                port_no = tmpl.egress[1] if kind == "port" else _TEMPLATE_PORT[kind]
+                self._output(port_no, tmpl.instantiate(handle.fields), handle.in_port,
+                             res, entry, now, depth)
                 if a.stop_processing:
                     return True
             # unknown experimenter actions are ignored
@@ -395,106 +385,63 @@ class Datapath:
             return
         st.set_state(key, a, now)
 
-    def _do_pkt_gen(self, a: m.PktGenAction, handle, res, entry, now, depth) -> None:
-        tmpl = self.templates.get(a.template_id)
-        if tmpl is None:
-            raise BadTemplate(f"template {a.template_id} is not registered")
-        if depth >= _MAX_PKT_GEN_DEPTH:
-            return
-        frame = tmpl.instantiate(handle.fields)
-        kind = tmpl.egress[0]
-        if kind == "port":
-            res.egress.append((tmpl.egress[1], frame))
-        elif kind == "in_port":
-            res.egress.append((handle.in_port, frame))
-        else:  # re-inject into the pipeline
-            try:
-                gen = parse_packet(frame, handle.in_port)
-            except ParseError:
-                return
-            gen.action_set = ActionSet()
-            self._walk_tables(gen, res, now, start_table=0)
+    def _output(self, port_no: int, frame: bytes, in_port: int, res, entry, now,
+                depth: int) -> None:
+        """Send ``frame`` to ``port_no``; the only code that fills ``res``.
 
-    def _output(self, port_no: int, handle, res, entry) -> None:
-        frame = bytes(handle.buffer)
+        Reserved ports resolve here.  ``OFPP_TABLE`` parses the frame again
+        and walks it from table 0 one level deeper.  An absent port, an
+        unsupported reserved port and a re-entry past ``MAX_DEPTH`` drop."""
         if port_no == m.OFPP_CONTROLLER:
             reason = m.OFPR_NO_MATCH if entry is not None and entry.is_table_miss() else m.OFPR_ACTION
             cookie = entry.cookie if entry is not None else 0
-            res.packet_ins.append(
-                PacketInEvent(reason, self._cur_table, frame, handle.in_port, cookie)
-            )
+            res.packet_ins.append(PacketInEvent(reason, self._cur_table, frame, in_port, cookie))
             return
         if port_no in (m.OFPP_FLOOD, m.OFPP_ALL):
             for p in self.ports:
-                if p.link_up and (port_no == m.OFPP_ALL or p.port_no != handle.in_port):
+                if p.link_up and (port_no == m.OFPP_ALL or p.port_no != in_port):
                     res.egress.append((p.port_no, frame))
             return
-        if port_no == m.OFPP_IN_PORT:
-            res.egress.append((handle.in_port, frame))
+        if port_no == m.OFPP_TABLE:
+            if depth < MAX_DEPTH:
+                try:
+                    handle = parse_packet(frame, in_port)
+                except ParseError:
+                    return
+                cur_table = self._cur_table
+                self._walk_tables(handle, res, now, depth + 1)
+                self._cur_table = cur_table
             return
-        if port_no >= m.OFPP_MAX:
-            return  # unsupported reserved port: drop
-        res.egress.append((port_no, frame))
+        if port_no == m.OFPP_IN_PORT:
+            port_no = in_port
+        if self.ports.exists(port_no):
+            res.egress.append((port_no, frame))
 
-    def _apply_group(self, group_id, handle, res, entry, now, depth) -> None:
-        if depth >= _MAX_GROUP_DEPTH:
+    def _apply_group(self, group_id, handle, res, entry, now, depth: int) -> None:
+        if depth >= MAX_DEPTH:
             return
         g = self.groups.get(group_id)
-        live = self.ports.is_live
-        if g.group_type == m.OFPGT_ALL:
-            g.packet_count += 1
-            g.byte_count += len(handle)
-            for i in range(len(g.buckets)):
-                clone = handle.clone()
-                clone.action_set = ActionSet()
-                self._run_bucket(g, i, clone, res, entry, now, depth)
+        chosen = self.groups.choose(g, self.ports.is_live)
+        if not chosen and g.group_type != m.OFPGT_ALL:
+            g.no_bucket_drops += 1  # no live bucket: drop, no controller involved
             return
-        if g.group_type == m.OFPGT_SELECT:
-            live_ix = [i for i, b in enumerate(g.buckets) if self.groups.bucket_live(b, live)]
-            if not live_ix:
-                g.no_bucket_drops += 1
-                return
-            i = live_ix[g.rr_cursor % len(live_ix)]
-            g.rr_cursor = (g.rr_cursor + 1) % len(live_ix)
-            g.packet_count += 1
-            g.byte_count += len(handle)
-            self._run_bucket(g, i, handle, res, entry, now, depth)
-            return
-        if g.group_type == m.OFPGT_INDIRECT:
-            g.packet_count += 1
-            g.byte_count += len(handle)
-            self._run_bucket(g, 0, handle, res, entry, now, depth)
-            return
-        if g.group_type == m.OFPGT_FF:
-            for i, b in enumerate(g.buckets):
-                if self.groups.bucket_live(b, live):
-                    g.packet_count += 1
-                    g.byte_count += len(handle)
-                    self._run_bucket(g, i, handle, res, entry, now, depth)
-                    return
-            g.no_bucket_drops += 1  # all watches down: drop, no controller involved
-
-    def _run_bucket(self, g, i: int, handle, res, entry, now, depth) -> None:
-        """Count one packet through bucket ``i`` of group ``g`` and run its actions."""
-        g.bucket_packet_counts[i] += 1
-        g.bucket_byte_counts[i] += len(handle)
-        self._execute_actions(g.buckets[i].actions, handle, res, entry, now, depth + 1)
+        size = len(handle)
+        g.packet_count += 1
+        g.byte_count += size
+        copy = g.group_type == m.OFPGT_ALL
+        for i in chosen:
+            g.bucket_packet_counts[i] += 1
+            g.bucket_byte_counts[i] += size
+            self._execute_actions(g.buckets[i].actions, handle.clone() if copy else handle,
+                                  res, entry, now, depth + 1)
 
     def packet_out(self, po: m.PacketOut) -> PipelineResult:
         """Inject a controller-supplied frame and run its action list."""
         now = self.clock()
         handle = parse_packet(po.payload, po.in_port)
-        handle.action_set = ActionSet()
         self.packets_processed += 1
         res = PipelineResult()
-        actions = po.actions
-        if any(isinstance(a, m.OutputAction) and a.port == m.OFPP_TABLE for a in actions):
-            actions = [a for a in actions
-                       if not (isinstance(a, m.OutputAction) and a.port == m.OFPP_TABLE)]
-            self._execute_actions(actions, handle, res, None, now)
-            self._walk_tables(handle, res, now, start_table=0)
-        else:
-            self._execute_actions(actions, handle, res, None, now)
+        self._execute_actions(po.actions, handle, res, None, now, 0)
         self._account(res)
         self.transmit(res)
         return res

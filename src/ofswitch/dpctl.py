@@ -41,6 +41,8 @@ IPv4 (10.0.0.1), colon-separated hex bytes (aa:bb:cc:dd:ee:ff), IPv6
 (fe80::1), or plain hex digits (0102aa).  A field VALUE that reads as an
 integer (42, 0x2a) is taken as one.
 
+--timeout S is the socket timeout in seconds, 0 < S <= 86400 (default 10).
+
 Exit codes: 0 success, 1 switch reported an error, 2 bad usage,
 3 could not connect.
 """
@@ -235,6 +237,8 @@ def _parse_command(argv: list[str]) -> Command:
             json_out = True
         elif a == "--timeout":
             timeout = float(next(it, "") or _usage("--timeout needs a value"))
+            if not 0 < timeout <= 86400:  # false for nan; the socket refuses past ~2**63 ns
+                raise UsageError(f"--timeout must be in (0, 86400], got {timeout}")
         elif a == "--xid":
             xid = _int("--xid", next(it, "") or _usage("--xid needs a value"))
         elif a.startswith("--"):

@@ -27,6 +27,18 @@ class BadMultipart(BadType):
     """A multipart request or reply of a kind the switch does not know."""
 
 
+class BadActionType(BadType):
+    """An action of a type the codec does not know."""
+
+
+class BadInstructionType(BadType):
+    """An instruction of a type the codec does not know."""
+
+
+class BadBandType(BadType):
+    """A meter band of a type the codec does not know."""
+
+
 class BadMatch(CodecError):
     pass
 

@@ -8,8 +8,10 @@ from .messages import (
     OFPGC_ADD,
     OFPGC_DELETE,
     OFPGC_MODIFY,
+    OFPGT_ALL,
     OFPGT_FF,
     OFPGT_INDIRECT,
+    OFPGT_SELECT,
     OFPP_ANY,
     Bucket,
 )
@@ -69,6 +71,25 @@ class GroupTable:
             self.groups.pop(group_id, None)
         else:
             raise BadGroupId(f"unknown group command {command}")
+
+    def choose(self, g: GroupEntry, port_live) -> list[int]:
+        """The buckets a packet takes through ``g``: all of ALL, the one of INDIRECT,
+        the first live one of FF, the next live one of SELECT, none of another type."""
+        if g.group_type == OFPGT_ALL:
+            return list(range(len(g.buckets)))
+        if g.group_type == OFPGT_INDIRECT:
+            return [0]
+        if g.group_type == OFPGT_FF:
+            return next(([i] for i, b in enumerate(g.buckets)
+                         if self.bucket_live(b, port_live)), [])
+        if g.group_type != OFPGT_SELECT:
+            return []
+        live = [i for i, b in enumerate(g.buckets) if self.bucket_live(b, port_live)]
+        if not live:
+            return live
+        i = live[g.rr_cursor % len(live)]
+        g.rr_cursor = (g.rr_cursor + 1) % len(live)
+        return [i]
 
     def is_live(self, group_id: int, port_live, _seen=None) -> bool:
         """A group is live when at least one bucket has a live watch entity."""

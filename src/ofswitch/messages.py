@@ -122,10 +122,13 @@ OFPBRC_BAD_TABLE_ID = 9
 OFPBRC_BAD_PACKET = 12
 OFPFMFC_BAD_TABLE_ID = 2
 OFPFMFC_OVERLAP = 3
+OFPBAC_BAD_TYPE = 0
+OFPBIC_UNKNOWN_INST = 0
 OFPBIC_BAD_TABLE_ID = 2
 OFPBMC_BAD_FIELD = 6
 OFPGMFC_INVALID_GROUP = 1
 OFPMMFC_UNKNOWN_METER = 3
+OFPMMFC_BAD_BAND = 8
 
 
 # -- actions -----------------------------------------------------------------

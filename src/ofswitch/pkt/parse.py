@@ -63,7 +63,7 @@ class PacketHandle:
     edit operations.
     """
 
-    __slots__ = ("buffer", "in_port", "fields", "layout", "metadata", "action_set")
+    __slots__ = ("buffer", "in_port", "fields", "layout", "metadata")
 
     def __init__(self, buffer: bytearray, in_port: int, fields: dict, layout: Layout):
         self.buffer = buffer
@@ -71,7 +71,6 @@ class PacketHandle:
         self.fields = fields
         self.layout = layout
         self.metadata = 0
-        self.action_set = None
 
     def __len__(self):
         return len(self.buffer)

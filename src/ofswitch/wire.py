@@ -12,6 +12,9 @@ import struct
 
 from . import messages as m
 from .errors import (
+    BadActionType,
+    BadBandType,
+    BadInstructionType,
     BadLength,
     BadMatch,
     BadMultipart,
@@ -249,7 +252,7 @@ def decode_action(r: _Reader):
             if decoded is not None:
                 return decoded
         return m.ExperimenterAction(exp_id, payload)
-    raise BadType(f"unknown action type {a_type}")
+    raise BadActionType(f"unknown action type {a_type}")
 
 
 def _decode_actions(r: _Reader) -> list:
@@ -307,7 +310,7 @@ def decode_instruction(r: _Reader):
         return m.ClearActions()
     if i_type == OFPIT_METER:
         return m.MeterInstruction(*body.read(_ID))
-    raise BadType(f"unknown instruction type {i_type}")
+    raise BadInstructionType(f"unknown instruction type {i_type}")
 
 
 def _decode_instructions(r: _Reader) -> list:
@@ -354,7 +357,7 @@ def decode_band(r: _Reader):
         return m.DropBand(*body.read(_DROP_BAND))
     if b_type == m.OFPMBT_DSCP_REMARK:
         return m.DscpRemarkBand(*body.read(_DSCP_REMARK_BAND))
-    raise BadType(f"unknown meter band type {b_type}")
+    raise BadBandType(f"unknown meter band type {b_type}")
 
 
 # -- body packers ------------------------------------------------------------------------

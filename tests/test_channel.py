@@ -206,6 +206,21 @@ def test_error_codes_are_openflow_13_numbers(session):
     conn.feed(bytes([4, 14, 0, 12, 0, 0, 0, 11]) + b"\x00" * 4)  # a 12-byte FlowMod
     assert [(e.body.err_type, e.body.code) for e in pipe.messages()] == [
         (5, 3), (6, 1), (12, 3), (1, 6)]
+    pipe.raw.clear()
+    # an unknown action, instruction or band type: the last element of each
+    # mod below is patched to type 77
+    output = [m.ApplyActions([m.OutputAction(2)])]
+    for xid, msg, from_end in [
+        (12, m.FlowMod(command=m.OFPFC_ADD, instructions=output), 16),
+        (13, m.FlowMod(command=m.OFPFC_ADD, instructions=output), 24),
+        (14, m.GroupMod(m.OFPGC_ADD, m.OFPGT_ALL, 5, [m.Bucket([m.OutputAction(2)])]), 16),
+        (15, m.MeterMod(m.OFPMC_ADD, m.OFPMF_PKTPS, 5, [m.DropBand(100, 10)]), 16),
+    ]:
+        raw = bytearray(wire.pack(m.OfMessage(xid, msg)))
+        raw[-from_end:-from_end + 2] = struct.pack("!H", 77)
+        conn.feed(bytes(raw))
+    assert [(e.xid, e.body.err_type, e.body.code) for e in pipe.messages()] == [
+        (12, 2, 0), (13, 3, 0), (14, 2, 0), (15, 12, 8)]
 
 
 def _raw_request(msg_type: int, xid: int, body: bytes) -> bytes:

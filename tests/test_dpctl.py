@@ -181,8 +181,14 @@ def test_pkt_template_rejects_other_egress(text):
     ["state-config", "table=0", "lookup=eth_src", "update=ipv4_src"],
     ["pkt-template", "id=1", "data=00"],
     ["features", "--timeout", "abc"],
+    ["features", "--timeout", "-1"],
+    ["features", "--timeout", "0"],
+    ["features", "--timeout", "nan"],
+    ["features", "--timeout", "inf"],
+    ["features", "--timeout", "1e10"],
 ], ids=["ipv4-octet", "set-field-ipv4", "mac-digits", "port-width", "scope-field",
-        "scope-width", "template-size", "timeout"])
+        "scope-width", "template-size", "timeout", "timeout-negative", "timeout-zero",
+        "timeout-nan", "timeout-inf", "timeout-too-large"])
 def test_malformed_input_exits_2_without_traceback(tokens):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

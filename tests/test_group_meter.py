@@ -3,6 +3,7 @@
 import pytest
 
 from ofswitch import messages as m
+from ofswitch.datapath import MAX_DEPTH
 from ofswitch.errors import BadGroupId, BadMeterId
 from ofswitch.meters import MeterEntry, MeterTable
 from ofswitch.oxm import MatchSet
@@ -188,3 +189,46 @@ def test_meter_mod_lifecycle(clock):
     mt.modify(m.OFPMC_DELETE, 1, 0, [])
     with pytest.raises(BadMeterId):
         mt.get(1)
+
+
+def test_empty_all_group_counts_the_packet_and_drops_it(datapath):
+    add_group(datapath, 1, m.OFPGT_ALL, [])
+    steer_to_group(datapath, 1)
+    assert datapath.receive_packet(1, frame()).dropped
+    g = datapath.groups.get(1)
+    assert (g.packet_count, g.byte_count, g.no_bucket_drops) == (1, len(frame()), 0)
+
+
+@pytest.mark.parametrize("gtype", [m.OFPGT_SELECT, m.OFPGT_FF])
+def test_no_live_bucket_counts_a_bucket_drop(datapath, gtype):
+    add_group(datapath, 1, gtype, [m.Bucket([m.OutputAction(2)], watch_port=2),
+                                   m.Bucket([m.OutputAction(3)], watch_port=3)])
+    steer_to_group(datapath, 1)
+    datapath.ports.set_state(2, False)
+    datapath.ports.set_state(3, False)
+    assert datapath.receive_packet(1, frame()).dropped
+    g = datapath.groups.get(1)
+    assert (g.packet_count, g.no_bucket_drops, g.bucket_packet_counts) == (0, 1, [0, 0])
+
+
+def test_choose_picks_buckets_by_group_type(datapath):
+    live = datapath.ports.is_live
+    datapath.ports.set_state(2, False)
+    buckets = [m.Bucket([m.OutputAction(p)], watch_port=p) for p in (2, 3, 4)]
+    for gid, gtype in enumerate((m.OFPGT_ALL, m.OFPGT_SELECT, m.OFPGT_FF), 1):
+        add_group(datapath, gid, gtype, buckets)
+    add_group(datapath, 4, m.OFPGT_INDIRECT, buckets[:1])
+    add_group(datapath, 5, 9, buckets)  # a type OpenFlow 1.3 does not define
+    groups = datapath.groups
+    assert groups.choose(groups.get(1), live) == [0, 1, 2]
+    assert [groups.choose(groups.get(2), live) for _ in range(3)] == [[1], [2], [1]]
+    assert groups.choose(groups.get(3), live) == [1]
+    assert groups.choose(groups.get(4), live) == [0]
+    assert groups.choose(groups.get(5), live) == []
+
+
+def test_group_that_forwards_to_itself_stops_at_the_depth_budget(datapath):
+    add_group(datapath, 1, m.OFPGT_INDIRECT, [m.Bucket([m.GroupAction(1)])])
+    steer_to_group(datapath, 1)
+    assert datapath.receive_packet(1, frame()).dropped
+    assert datapath.groups.get(1).packet_count == MAX_DEPTH

@@ -4,6 +4,7 @@ switch-generated packets from templates."""
 import pytest
 
 from ofswitch import messages as m
+from ofswitch.datapath import MAX_DEPTH
 from ofswitch.errors import BadTemplate, ScopeWidthMismatch
 from ofswitch.oxm import MatchSet
 from ofswitch.pkt import build
@@ -234,3 +235,48 @@ def test_pkt_template_rejects_a_malformed_egress(egress):
         PacketTemplate(1, b"\x00" * 20, [], egress).validate()
     with pytest.raises(BadTemplate):
         encode_pkt_template(PacketTemplate(1, b"\x00" * 20, [], egress))
+
+
+def test_pipeline_egress_that_rematches_its_flow_stops_at_the_depth_budget(datapath):
+    gen = build.udp4_frame(MAC_A, MAC_B, "10.0.0.2", "10.0.0.1", 7, 7, b"again")
+    datapath.register_template(PacketTemplate(1, gen, [], ("pipeline",)))
+    add(datapath, 5, {}, [m.PktGenAction(1)])
+    res = datapath.receive_packet(1, udp_from(MAC_A, MAC_B))
+    assert res.dropped
+    # the trigger, then one walk per re-entry up to the budget
+    assert datapath.tables[0].entries[0].packet_count == 1 + MAX_DEPTH
+    assert datapath.packets_processed == datapath.packets_dropped == 1
+
+
+def test_template_to_absent_port_is_dropped(datapath):
+    gen = build.udp4_frame(MAC_A, MAC_B, "10.0.0.2", "10.0.0.1", 7, 7, b"lost")
+    datapath.register_template(PacketTemplate(1, gen, [], ("port", 99)))
+    add(datapath, 5, {"in_port": 2}, [m.PktGenAction(1)])
+    res = datapath.receive_packet(2, udp_from(MAC_A, MAC_B))
+    assert res.dropped and not res.egress
+    assert (datapath.packets_egressed, datapath.packets_dropped) == (0, 1)
+    assert sum(p.tx_packets for p in datapath.ports) == 0
+
+
+def test_template_to_controller_is_a_packet_in(datapath):
+    gen = build.udp4_frame(MAC_A, MAC_B, "10.0.0.2", "10.0.0.1", 7, 7, b"up")
+    datapath.register_template(PacketTemplate(1, gen, [], ("port", m.OFPP_CONTROLLER)))
+    add(datapath, 5, {"in_port": 2}, [m.PktGenAction(1)])
+    res = datapath.receive_packet(2, udp_from(MAC_A, MAC_B))
+    assert not res.egress
+    assert [(ev.reason, ev.frame, ev.in_port) for ev in res.packet_ins] == [
+        (m.OFPR_ACTION, gen, 2)]
+    assert datapath.packets_to_controller == 1
+
+
+def test_pkt_gen_four_indirect_groups_deep_still_emits(datapath):
+    reply = build.udp4_frame(MAC_A, MAC_B, "10.0.0.2", "10.0.0.1", 7, 7, b"deep")
+    datapath.register_template(PacketTemplate(1, reply, [], ("in_port",)))
+    datapath.group_mod(m.GroupMod(m.OFPGC_ADD, m.OFPGT_INDIRECT, 4,
+                                  [m.Bucket([m.PktGenAction(1)])]))
+    for gid in (3, 2, 1):
+        datapath.group_mod(m.GroupMod(m.OFPGC_ADD, m.OFPGT_INDIRECT, gid,
+                                      [m.Bucket([m.GroupAction(gid + 1)])]))
+    add(datapath, 5, {"in_port": 2}, [m.GroupAction(1)])
+    res = datapath.receive_packet(2, udp_from(MAC_A, MAC_B))
+    assert res.egress == [(2, reply)]

@@ -8,6 +8,7 @@ from ofswitch.datapath import Datapath
 from ofswitch.errors import BadInstruction
 from ofswitch.oxm import MatchSet
 from ofswitch.pkt import build
+from ofswitch.stateful import PacketTemplate
 
 MAC_A = "0a:00:00:00:00:01"
 MAC_B = "0a:00:00:00:00:02"
@@ -208,3 +209,51 @@ def test_rejected_modify_leaves_entries_alone():
         dp.flow_mod(m.FlowMod(command=m.OFPFC_MODIFY, instructions=[m.GotoTable(9)]))
     assert dp.tables[0].entries[0].instructions == before
     assert dp.receive_packet(1, frame()).egress == [(2, frame())]
+
+
+def test_output_to_absent_port_is_a_counted_drop():
+    dp = Datapath()
+    dp.ports.add(1)
+    dp.ports.add(2)
+    add(dp, prio=1, insts=[m.ApplyActions([m.OutputAction(99)])])
+    res = dp.receive_packet(1, frame())
+    assert res.dropped and not res.egress
+    assert (dp.packets_egressed, dp.packets_dropped) == (0, 1)
+    assert [p.tx_packets for p in dp.ports] == [0, 0]
+
+
+_LIVE, _DOWN, _ABSENT = 2, 3, 99
+_TARGETS = {"live": _LIVE, "down": _DOWN, "absent": _ABSENT, "in_port": m.OFPP_IN_PORT,
+            "flood": m.OFPP_FLOOD, "all": m.OFPP_ALL, "controller": m.OFPP_CONTROLLER,
+            "table": m.OFPP_TABLE, "local": m.OFPP_LOCAL, "normal": m.OFPP_NORMAL}
+
+
+def _template_egress(port_no):
+    if port_no == m.OFPP_IN_PORT:
+        return ("in_port",)
+    if port_no == m.OFPP_TABLE:
+        return ("pipeline",)
+    return ("port", port_no)
+
+
+@pytest.mark.parametrize("source", ["flow", "template", "packet_out"])
+@pytest.mark.parametrize("target", list(_TARGETS))
+def test_every_egress_target_is_forwarded_sent_up_or_dropped(datapath, source, target):
+    port_no = _TARGETS[target]
+    datapath.ports.set_state(_DOWN, False)
+    if source == "flow":
+        add(datapath, prio=1, insts=[m.ApplyActions([m.OutputAction(port_no)])])
+        res = datapath.receive_packet(1, frame())
+    elif source == "template":
+        datapath.register_template(PacketTemplate(1, frame(payload=b"gen"), [],
+                                                  _template_egress(port_no)))
+        add(datapath, prio=1, insts=[m.ApplyActions([m.PktGenAction(1)])])
+        res = datapath.receive_packet(1, frame())
+    else:
+        res = datapath.packet_out(m.PacketOut(m.OFP_NO_BUFFER, 1, [m.OutputAction(port_no)],
+                                              frame()))
+    dp = datapath
+    assert dp.packets_processed == 1
+    assert dp.packets_egressed + dp.packets_to_controller + dp.packets_dropped == 1
+    assert all(dp.ports.exists(p) for p, _ in res.egress)
+    assert sum(p.tx_packets + p.tx_dropped for p in dp.ports) == len(res.egress)
