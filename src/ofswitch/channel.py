@@ -21,6 +21,7 @@ from .errors import (
     BadActionType,
     BadBandType,
     BadGroupId,
+    BadGroupType,
     BadInstruction,
     BadInstructionType,
     BadMatch,
@@ -50,6 +51,7 @@ _ERROR_MAP = [
     (BadTableId, (m.OFPET_FLOW_MOD_FAILED, m.OFPFMFC_BAD_TABLE_ID)),
     (BadInstruction, (m.OFPET_BAD_INSTRUCTION, 0)),
     (BadMatch, (m.OFPET_BAD_MATCH, m.OFPBMC_BAD_FIELD)),
+    (BadGroupType, (m.OFPET_GROUP_MOD_FAILED, m.OFPGMFC_BAD_TYPE)),
     (BadGroupId, (m.OFPET_GROUP_MOD_FAILED, m.OFPGMFC_INVALID_GROUP)),
     (BadMeterId, (m.OFPET_METER_MOD_FAILED, m.OFPMMFC_UNKNOWN_METER)),
     (BadPort, (m.OFPET_BAD_ACTION, 4)),

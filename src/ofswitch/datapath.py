@@ -166,21 +166,21 @@ class Datapath:
         self.meters.modify(mm.command, mm.meter_id, mm.flags, mm.bands)
 
     def expire(self, now: float | None = None) -> list[FlowEntry]:
-        """Remove timed-out entries; returns them (also notifies the sink)."""
+        """Remove timed-out flow entries and apply due state rollbacks.
+        Returns the removed flow entries (the sink hears of flagged ones)."""
         now = self.clock() if now is None else now
         removed = []
         for table in self.tables:
-            if not table.timeout_index:
-                continue
             for e in table.expired_entries(now):
                 reason = e.expiry_reason(now)
                 table.remove(e)
                 removed.append(e)
-                self._notify_removed(e, reason, table.table_id, now)
+                self._notify_removed(e, reason, table.table_id)
+        for st in self.state_tables.values():
+            st.expire(now)
         return removed
 
-    def _notify_removed(self, entry: FlowEntry, reason: int, table_id: int,
-                        now: float | None = None) -> None:
+    def _notify_removed(self, entry: FlowEntry, reason: int, table_id: int) -> None:
         if self.flow_removed_sink and entry.flags & m.OFPFF_SEND_FLOW_REM:
             self.flow_removed_sink(entry, reason, table_id)
 

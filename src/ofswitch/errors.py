@@ -95,6 +95,10 @@ class BadGroupId(DatapathError):
     pass
 
 
+class BadGroupType(BadGroupId):
+    """A group type OpenFlow 1.3 does not define."""
+
+
 class BadMeterId(DatapathError):
     pass
 

@@ -1,22 +1,34 @@
-"""Flow entries and priority-ordered flow tables.
+"""Flow entries, priority-ordered flow tables, and the timeout rule.
 
-Entries are kept in a list sorted by (priority descending, insertion
-sequence ascending); lookup is a linear scan, which keeps the matching
-semantics obvious.  A separate index references the entries that carry a
-timeout so expiry checks do not walk the whole table.
+A table is one list of entries sorted by (priority descending, insertion
+sequence ascending); lookup and expiry are linear scans of it, which keeps
+the matching semantics obvious.  ``timeout_reason`` is the one rule for
+when a timer has run out, shared by flow entries and state entries.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadInstruction
-from .messages import GotoTable
+from .messages import OFPRR_HARD_TIMEOUT, OFPRR_IDLE_TIMEOUT, GotoTable
 from .oxm import MatchSet
 
 
-@dataclass
+def timeout_reason(idle_timeout: int, hard_timeout: int, install_time: float,
+                   last_touch: float, now: float) -> int | None:
+    """Which timer has run out at ``now``: ``OFPRR_HARD_TIMEOUT``,
+    ``OFPRR_IDLE_TIMEOUT`` or None.  A zero timeout never runs out, and
+    hard wins when both have."""
+    if hard_timeout and now - install_time >= hard_timeout:
+        return OFPRR_HARD_TIMEOUT
+    if idle_timeout and now - last_touch >= idle_timeout:
+        return OFPRR_IDLE_TIMEOUT
+    return None
+
+
+@dataclass(eq=False)
 class FlowEntry:
     match: MatchSet
     priority: int
@@ -31,30 +43,15 @@ class FlowEntry:
     packet_count: int = 0
     byte_count: int = 0
 
-    @property
-    def sort_key(self):
-        return (-self.priority, self.insertion_seq)
-
-    @property
-    def has_timeout(self) -> bool:
-        return self.idle_timeout > 0 or self.hard_timeout > 0
-
     def is_table_miss(self) -> bool:
         return self.priority == 0 and len(self.match) == 0
 
     def expired(self, now: float) -> bool:
-        if self.hard_timeout and now - self.install_time >= self.hard_timeout:
-            return True
-        if self.idle_timeout and now - self.last_match_time >= self.idle_timeout:
-            return True
-        return False
+        return self.expiry_reason(now) is not None
 
-    def expiry_reason(self, now: float) -> int:
-        from .messages import OFPRR_HARD_TIMEOUT, OFPRR_IDLE_TIMEOUT
-
-        if self.hard_timeout and now - self.install_time >= self.hard_timeout:
-            return OFPRR_HARD_TIMEOUT
-        return OFPRR_IDLE_TIMEOUT
+    def expiry_reason(self, now: float) -> int | None:
+        return timeout_reason(self.idle_timeout, self.hard_timeout,
+                              self.install_time, self.last_match_time, now)
 
     def validate_instructions(self, own_table_id: int, n_tables: int) -> None:
         gotos = [i for i in self.instructions if isinstance(i, GotoTable)]
@@ -73,12 +70,8 @@ class FlowTable:
     def __init__(self, table_id: int):
         self.table_id = table_id
         self.entries: list[FlowEntry] = []
-        self.timeout_index: list[FlowEntry] = []
         self.lookup_count = 0
         self.matched_count = 0
-
-    def _reindex_timeouts(self) -> None:
-        self.timeout_index = [e for e in self.entries if e.has_timeout]
 
     def insert(self, entry: FlowEntry) -> FlowEntry | None:
         """Insert preserving order; an entry with identical match and
@@ -88,15 +81,11 @@ class FlowTable:
             if e.priority == entry.priority and e.match == entry.match:
                 replaced = self.entries.pop(i)
                 break
-        keys = [e.sort_key for e in self.entries]
-        self.entries.insert(bisect.bisect_right(keys, entry.sort_key), entry)
-        self._reindex_timeouts()
+        bisect.insort(self.entries, entry, key=lambda e: (-e.priority, e.insertion_seq))
         return replaced
 
     def remove(self, entry: FlowEntry) -> None:
         self.entries.remove(entry)
-        if entry.has_timeout:
-            self.timeout_index.remove(entry)
 
     def lookup(self, fields: dict, now: float = 0.0, pkt_len: int = 0) -> FlowEntry | None:
         """First matching entry in priority order; updates its counters."""
@@ -132,7 +121,7 @@ class FlowTable:
         return None
 
     def expired_entries(self, now: float) -> list[FlowEntry]:
-        return [e for e in self.timeout_index if e.expired(now)]
+        return [e for e in self.entries if e.expired(now)]
 
     def __len__(self):
         return len(self.entries)

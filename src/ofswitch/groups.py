@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import BadGroupId
+from .errors import BadGroupId, BadGroupType
 from .messages import (
     OFPG_ANY,
     OFPGC_ADD,
@@ -30,6 +30,8 @@ class GroupEntry:
         self.no_bucket_drops = 0
 
     def validate(self) -> None:
+        if self.group_type not in (OFPGT_ALL, OFPGT_SELECT, OFPGT_INDIRECT, OFPGT_FF):
+            raise BadGroupType(f"group {self.group_id} has undefined type {self.group_type}")
         if self.group_type == OFPGT_INDIRECT and len(self.buckets) != 1:
             raise BadGroupId(
                 f"indirect group {self.group_id} must have exactly one bucket"
@@ -74,7 +76,7 @@ class GroupTable:
 
     def choose(self, g: GroupEntry, port_live) -> list[int]:
         """The buckets a packet takes through ``g``: all of ALL, the one of INDIRECT,
-        the first live one of FF, the next live one of SELECT, none of another type."""
+        the first live one of FF, the next live one of SELECT."""
         if g.group_type == OFPGT_ALL:
             return list(range(len(g.buckets)))
         if g.group_type == OFPGT_INDIRECT:
@@ -82,8 +84,6 @@ class GroupTable:
         if g.group_type == OFPGT_FF:
             return next(([i] for i, b in enumerate(g.buckets)
                          if self.bucket_live(b, port_live)), [])
-        if g.group_type != OFPGT_SELECT:
-            return []
         live = [i for i, b in enumerate(g.buckets) if self.bucket_live(b, port_live)]
         if not live:
             return live

@@ -127,6 +127,7 @@ OFPBIC_UNKNOWN_INST = 0
 OFPBIC_BAD_TABLE_ID = 2
 OFPBMC_BAD_FIELD = 6
 OFPGMFC_INVALID_GROUP = 1
+OFPGMFC_BAD_TYPE = 11
 OFPMMFC_UNKNOWN_METER = 3
 OFPMMFC_BAD_BAND = 8
 

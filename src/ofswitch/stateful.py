@@ -7,6 +7,10 @@ value lands in the field map as the ``state`` match field.  A fast-path
 set-state action rewrites the entry keyed by the update scope, with
 optional idle/hard rollback timers.  Entries holding the default state
 with no pending rollback are not stored: a miss is the default state.
+
+Rollback timers follow the flow-table rule, ``flowtable.timeout_reason``.
+A due rollback is applied when its key is looked up, and by ``expire``,
+which sweeps the whole table; ``dump`` sweeps before it reads.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import struct
 from dataclasses import dataclass, field
 
 from .errors import BadScope, BadTable, BadTemplate, ScopeWidthMismatch
-from .messages import Experimenter, SetStateAction
+from .flowtable import timeout_reason
+from .messages import OFPRR_HARD_TIMEOUT, Experimenter, SetStateAction
 from .oxm import FIELDS, STATE_EXPERIMENTER_ID, field_by_key
 from .wire import _Reader
 
@@ -88,13 +93,11 @@ class StateTable:
 
     def _roll_back(self, key: bytes, entry: StateEntry, now: float) -> int:
         """Resolve rollback timers; returns the effective state."""
-        state = entry.state
-        if entry.hard_timeout and now - entry.install_time >= entry.hard_timeout:
-            state = entry.hard_rollback
-        elif entry.idle_timeout and now - entry.last_touch >= entry.idle_timeout:
-            state = entry.idle_rollback
-        else:
-            return state
+        reason = timeout_reason(entry.idle_timeout, entry.hard_timeout,
+                                entry.install_time, entry.last_touch, now)
+        if reason is None:
+            return entry.state
+        state = entry.hard_rollback if reason == OFPRR_HARD_TIMEOUT else entry.idle_rollback
         if state == DEFAULT_STATE:
             del self.entries[key]
         else:
@@ -133,10 +136,14 @@ class StateTable:
     def delete(self, key: bytes) -> None:
         self.entries.pop(key, None)
 
-    def dump(self, now: float) -> list[tuple[bytes, int]]:
-        """Current (key, state) pairs, resolving pending rollbacks first."""
+    def expire(self, now: float) -> None:
+        """Apply every rollback that is due at ``now``."""
         for key, entry in list(self.entries.items()):
             self._roll_back(key, entry, now)
+
+    def dump(self, now: float) -> list[tuple[bytes, int]]:
+        """Current (key, state) pairs, after applying due rollbacks."""
+        self.expire(now)
         return sorted((k, e.state) for k, e in self.entries.items())
 
 

@@ -74,12 +74,6 @@ class _Reader:
         return r
 
 
-def _check_width(value: int, bits: int, what: str) -> int:
-    if value < 0 or value >= 1 << bits:
-        raise Unencodable(f"{what} {value} exceeds {bits}-bit wire field")
-    return value
-
-
 def _tlv(t: int, body: bytes) -> bytes:
     """Prefix ``body`` with a type and a length that counts the prefix."""
     return _TL.pack(t, _TL.size + len(body)) + body
@@ -119,10 +113,7 @@ def decode_oxm(r: _Reader) -> OxmField:
     if has_mask:
         if len(body) != 2 * vlen:
             raise BadMatch(f"{t.name}: masked OXM payload length {len(body)} != {2*vlen}")
-        value, mask = body[:vlen], body[vlen:]
-        if any(v & ~mk & 0xFF for v, mk in zip(value, mask)):
-            raise BadMatch(f"{t.name}: masked value not canonical")
-        return OxmField(oxm_class, field_id, value, mask)
+        return OxmField(oxm_class, field_id, body[:vlen], body[vlen:])
     if len(body) != vlen:
         raise BadMatch(f"{t.name}: OXM payload length {len(body)} != {vlen}")
     return OxmField(oxm_class, field_id, body)
@@ -175,10 +166,9 @@ def _experimenter_action(exp_id: int, payload: bytes) -> bytes:
 
 def encode_action(a) -> bytes:
     if isinstance(a, m.OutputAction):
-        _check_width(a.port, 32, "port")
         return _tlv(OFPAT_OUTPUT, _OUTPUT.pack(a.port, a.max_len))
     if isinstance(a, m.GroupAction):
-        return _tlv(OFPAT_GROUP, _ID.pack(_check_width(a.group_id, 32, "group")))
+        return _tlv(OFPAT_GROUP, _ID.pack(a.group_id))
     if isinstance(a, m.PushVlanAction):
         return _tlv(OFPAT_PUSH_VLAN, _ETHERTYPE.pack(a.ethertype))
     if isinstance(a, m.PopVlanAction):
@@ -400,7 +390,7 @@ def _pack_body(body) -> bytes:
         return _FEATURES_REPLY.pack(
             body.datapath_id,
             body.n_buffers,
-            _check_width(body.n_tables, 8, "n_tables"),
+            body.n_tables,
             body.aux_id,
             body.capabilities,
         )
@@ -435,7 +425,7 @@ def _pack_body(body) -> bytes:
             body.command,
             body.idle_timeout,
             body.hard_timeout,
-            _check_width(body.priority, 16, "priority"),
+            body.priority,
             body.buffer_id,
             body.out_port,
             body.out_group,
@@ -747,12 +737,14 @@ def _unpack_body(msg_type: int, r: _Reader):
 # -- public API ------------------------------------------------------------------------------
 
 def pack(msg: m.OfMessage) -> bytes:
-    """Encode a message; the header length is recomputed and written."""
-    body = _pack_body(msg.body)
-    length = m.OFP_HEADER_LEN + len(body)
-    _check_width(length, 16, "message length")
-    _check_width(msg.xid, 32, "xid")
-    return _HEADER.pack(m.OFP_VERSION, msg.msg_type, length, msg.xid) + body
+    """Encode a message; the header length is recomputed and written.
+    A value too wide for its wire field raises ``Unencodable``."""
+    try:
+        body = _pack_body(msg.body)
+        return _HEADER.pack(m.OFP_VERSION, msg.msg_type, m.OFP_HEADER_LEN + len(body),
+                            msg.xid) + body
+    except struct.error as exc:
+        raise Unencodable(f"{type(msg.body).__name__}: {exc}") from exc
 
 
 def unpack(data: bytes) -> m.OfMessage:

@@ -204,8 +204,11 @@ def test_error_codes_are_openflow_13_numbers(session):
         command=m.OFPMC_MODIFY, flags=m.OFPMF_PKTPS, meter_id=42,
         bands=[m.DropBand(100, 10)]))))
     conn.feed(bytes([4, 14, 0, 12, 0, 0, 0, 11]) + b"\x00" * 4)  # a 12-byte FlowMod
+    conn.feed(wire.pack(m.OfMessage(16, m.GroupMod(
+        command=m.OFPGC_ADD, group_type=9, group_id=43,
+        buckets=[m.Bucket(actions=[m.OutputAction(2)])]))))
     assert [(e.body.err_type, e.body.code) for e in pipe.messages()] == [
-        (5, 3), (6, 1), (12, 3), (1, 6)]
+        (5, 3), (6, 1), (12, 3), (1, 6), (6, 11)]
     pipe.raw.clear()
     # an unknown action, instruction or band type: the last element of each
     # mod below is patched to type 77

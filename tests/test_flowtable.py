@@ -117,11 +117,9 @@ def test_idle_timeout_resets_on_match():
     assert e.expiry_reason(9.0) == m.OFPRR_IDLE_TIMEOUT
 
 
-def test_timeout_index_only_tracks_entries_with_timeouts():
-    t = FlowTable(0)
-    t.insert(entry(1, 1, {"in_port": 1}))
-    t.insert(entry(1, 2, {"in_port": 2}, idle_timeout=1))
-    assert len(t.timeout_index) == 1
+def test_hard_timeout_wins_when_both_have_run_out():
+    e = entry(1, 1, idle_timeout=5, hard_timeout=10)
+    assert e.expiry_reason(12.0) == m.OFPRR_HARD_TIMEOUT
 
 
 def test_goto_validation():

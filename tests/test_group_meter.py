@@ -4,7 +4,7 @@ import pytest
 
 from ofswitch import messages as m
 from ofswitch.datapath import MAX_DEPTH
-from ofswitch.errors import BadGroupId, BadMeterId
+from ofswitch.errors import BadGroupId, BadGroupType, BadMeterId
 from ofswitch.meters import MeterEntry, MeterTable
 from ofswitch.oxm import MatchSet
 from ofswitch.pkt import build
@@ -218,13 +218,13 @@ def test_choose_picks_buckets_by_group_type(datapath):
     for gid, gtype in enumerate((m.OFPGT_ALL, m.OFPGT_SELECT, m.OFPGT_FF), 1):
         add_group(datapath, gid, gtype, buckets)
     add_group(datapath, 4, m.OFPGT_INDIRECT, buckets[:1])
-    add_group(datapath, 5, 9, buckets)  # a type OpenFlow 1.3 does not define
+    with pytest.raises(BadGroupType):  # a type OpenFlow 1.3 does not define
+        add_group(datapath, 5, 9, buckets)
     groups = datapath.groups
     assert groups.choose(groups.get(1), live) == [0, 1, 2]
     assert [groups.choose(groups.get(2), live) for _ in range(3)] == [[1], [2], [1]]
     assert groups.choose(groups.get(3), live) == [1]
     assert groups.choose(groups.get(4), live) == [0]
-    assert groups.choose(groups.get(5), live) == []
 
 
 def test_group_that_forwards_to_itself_stops_at_the_depth_budget(datapath):

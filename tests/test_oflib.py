@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from ofswitch import messages as m
 from ofswitch import wire
-from ofswitch.errors import BadLength, BadMatch, BadVersion, CodecError, DesyncError
+from ofswitch.errors import (
+    BadLength,
+    BadMatch,
+    BadVersion,
+    CodecError,
+    DesyncError,
+    Unencodable,
+)
 from ofswitch.oxm import STATE_EXPERIMENTER_ID, MatchSet, make_field, parse_bytes
 from ofswitch.stateful import decode_experimenter
 
@@ -279,6 +286,24 @@ def test_oxm_experimenter_state_field_roundtrip():
     again = wire.unpack(wire.pack(m.OfMessage(5, fm)))
     got = {f.name: f.value for f in again.body.match}
     assert got["state"] == (7).to_bytes(4, "big")
+
+
+def test_masked_oxm_with_bits_outside_its_mask_is_rejected():
+    ms = MatchSet([make_field("ipv4_dst", "10.0.0.0", "255.255.255.0")])
+    raw = wire.pack(m.OfMessage(1, m.FlowMod(command=m.OFPFC_ADD, match=ms)))
+    at = raw.index(bytes([10, 0, 0, 0, 255, 255, 255, 0]))
+    with pytest.raises(BadMatch):
+        wire.unpack(raw[:at + 3] + b"\x01" + raw[at + 4:])  # 10.0.0.1/24
+
+
+@pytest.mark.parametrize("body", [
+    m.FlowMod(command=m.OFPFC_ADD, idle_timeout=70000),
+    m.FlowMod(command=m.OFPFC_ADD, priority=70000),
+    m.GroupMod(m.OFPGC_ADD, m.OFPGT_ALL, 2**33, []),
+], ids=["idle_timeout", "priority", "group_id"])
+def test_value_too_wide_for_its_wire_field_is_unencodable(body):
+    with pytest.raises(Unencodable):
+        wire.pack(m.OfMessage(1, body))
 
 
 def test_header_length_is_recomputed():

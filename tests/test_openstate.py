@@ -2,6 +2,8 @@
 switch-generated packets from templates."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofswitch import messages as m
 from ofswitch.datapath import MAX_DEPTH
@@ -12,6 +14,7 @@ from ofswitch.stateful import (
     DelStateEntry,
     PacketTemplate,
     SetStateEntry,
+    StateTable,
     StateTableConfig,
     TemplateSlot,
     decode_experimenter,
@@ -93,6 +96,14 @@ def test_idle_rollback_to_default_deletes(datapath, clock):
     assert key not in st.entries
 
 
+def test_hard_rollback_wins_when_both_timers_are_due(datapath):
+    datapath.configure_state_table(StateTableConfig(0, ["eth_src"], ["eth_src"]))
+    key = bytes.fromhex("0a0000000001")
+    datapath.set_state_entry(0, key, 5, idle_timeout=2, idle_rollback=1,
+                             hard_timeout=3, hard_rollback=2)
+    assert datapath.state_tables[0].lookup({"eth_src": key}, 4.0) == 2
+
+
 def test_set_state_to_zero_without_timers_deletes(datapath):
     datapath.configure_state_table(StateTableConfig(0, ["eth_src"], ["eth_src"]))
     st = datapath.state_tables[0]
@@ -109,6 +120,63 @@ def test_state_stats_dump_sorted(datapath):
     datapath.set_state_entry(0, b"\x01" * 6, 1)
     stats = datapath.state_stats(0)
     assert stats.entries == ((b"\x01" * 6, 1), (b"\x02" * 6, 2))
+
+
+def test_expire_bounds_a_table_of_transient_keys(datapath, clock):
+    """100k keys, 1,024 a second, each learned with a 1 s idle rollback to
+    the default state: after each sweep only the last second's keys stay."""
+    datapath.configure_state_table(StateTableConfig(0, ["eth_src"], ["eth_src"]))
+    table = datapath.state_tables[0]
+    learn = m.SetStateAction(0, 1, idle_timeout=1, idle_rollback=0)
+    for i in range(100_000):
+        clock.t = i / 1024
+        table.set_state(i.to_bytes(6, "big"), learn, clock())
+        if i % 256 == 255:
+            datapath.expire()
+            assert len(table.entries) <= 1024
+
+
+_KEYS = [bytes([0x0a, 0, 0, 0, 0, k]) for k in range(3)]
+_state_ops = st.tuples(
+    st.sampled_from(["set", "delete", "lookup", "dump", "sweep"]),
+    st.sampled_from(_KEYS),
+    st.integers(0, 3),  # half-seconds since the previous op
+    st.builds(m.SetStateAction, st.just(0), st.integers(0, 2),
+              idle_timeout=st.integers(0, 3), idle_rollback=st.integers(0, 2),
+              hard_timeout=st.integers(0, 4), hard_rollback=st.integers(0, 2)),
+)
+
+
+@given(ops=st.lists(_state_ops, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_sweeps_change_no_answer(ops):
+    """A table swept at random points answers every lookup and dump as a twin
+    that is never swept does.  A sweep is a check, like a lookup: where an
+    idle rollback it applies would later have been overtaken by the hard
+    timer, the twin's key is looked up at the sweep's time too."""
+    cfg = StateTableConfig(0, ["eth_src"], ["eth_src"])
+    swept, twin = StateTable(cfg), StateTable(cfg)
+    now = 0.0
+    for kind, key, step, action in ops:
+        now += step / 2
+        if kind == "set":
+            swept.set_state(key, action, now)
+            twin.set_state(key, action, now)
+        elif kind == "delete":
+            swept.delete(key)
+            twin.delete(key)
+        elif kind == "lookup":
+            assert swept.lookup({"eth_src": key}, now) == twin.lookup({"eth_src": key}, now)
+        elif kind == "dump":
+            assert swept.dump(now) == twin.dump(now)
+        else:
+            for k, e in swept.entries.items():
+                if (e.hard_timeout and now - e.install_time < e.hard_timeout
+                        and e.idle_timeout and now - e.last_touch >= e.idle_timeout
+                        and e.idle_rollback != e.hard_rollback):
+                    twin.lookup({"eth_src": k}, now)
+            swept.expire(now)
+    assert swept.dump(now) == twin.dump(now)
 
 
 def test_experimenter_config_roundtrip(datapath):
