@@ -503,8 +503,15 @@ class Datapath:
             meters = [self.meters.meters[k] for k in sorted(self.meters.meters)]
         else:
             meters = [self.meters.get(req.meter_id)]
+        flows: dict[int, int] = {}  # meter id -> flow entries that use it
+        for table in self.tables:
+            for e in table.entries:
+                for mid in {i.meter_id for i in e.instructions
+                            if isinstance(i, m.MeterInstruction)}:
+                    flows[mid] = flows.get(mid, 0) + 1
         return [
-            m.MeterStats(e.meter_id, e.flow_count, e.packet_in_count, e.byte_in_count)
+            m.MeterStats(e.meter_id, flows.get(e.meter_id, 0), e.packet_in_count,
+                         e.byte_in_count)
             for e in meters
         ]
 

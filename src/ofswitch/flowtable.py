@@ -1,9 +1,22 @@
 """Flow entries, priority-ordered flow tables, and the timeout rule.
 
 A table is one list of entries sorted by (priority descending, insertion
-sequence ascending); lookup and expiry are linear scans of it, which keeps
-the matching semantics obvious.  ``timeout_reason`` is the one rule for
-when a timer has run out, shared by flow entries and state entries.
+sequence ascending).  Lookup is tuple-space search over that list: each
+match compiles at insert into a signature, the names of its fields with
+each field's mask as an int (None for an exact field), and a key, the
+exact fields' value bytes and the masked fields' values as ints.  Entries
+that share a signature live in one hash subtable keyed by that key, so a
+lookup makes one dict probe per signature.  Subtables are probed in
+descending order of their highest priority, and the probe stops once the
+best hit's priority is above every remaining subtable's; a subtable whose
+highest priority equals the best hit's is still probed, because a tie at
+equal priority goes to the lowest insertion sequence (``Datapath`` gives
+every entry its own).  A match naming a field this switch does not know
+never matches and joins no subtable.
+
+Install, selection, overlap and expiry are linear scans of the list.
+``timeout_reason`` is the one rule for when a timer has run out, shared
+by flow entries and state entries.
 """
 
 from __future__ import annotations
@@ -13,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import BadInstruction
 from .messages import OFPRR_HARD_TIMEOUT, OFPRR_IDLE_TIMEOUT, GotoTable
-from .oxm import MatchSet
+from .oxm import MatchSet, field_by_key
 
 
 def timeout_reason(idle_timeout: int, hard_timeout: int, install_time: float,
@@ -66,12 +79,82 @@ class FlowEntry:
                 raise BadInstruction(f"goto-table target {g.table_id} out of range")
 
 
+def _compile(match: MatchSet) -> tuple[tuple, tuple] | None:
+    """The (signature, key) of a match, or None when it names a field this
+    switch does not know.  Signature items are ``(name, mask, nbytes)`` in
+    the match's field order, with ``mask`` an int or None for an exact
+    field; the key holds an exact field's value bytes and a masked field's
+    value as an int.  The same fields in another order make another
+    signature, which costs a lookup one more probe and changes no result."""
+    signature, key = [], []
+    for f in match:
+        t = field_by_key(f.oxm_class, f.field_id)
+        if t is None:
+            return None
+        value = f.value
+        if f.mask is None:
+            signature.append((t.name, None, len(value)))
+            key.append(bytes(value))
+        else:
+            signature.append((t.name, int.from_bytes(f.mask, "big"), len(value)))
+            key.append(int.from_bytes(value, "big"))
+    return tuple(signature), tuple(key)
+
+
+def _order(e: FlowEntry) -> tuple:
+    return -e.priority, e.insertion_seq
+
+
+class _Subtable:
+    """The entries of one signature, bucketed by key; each bucket is in
+    table order, and ``priorities`` counts the entries at each priority."""
+
+    __slots__ = ("signature", "buckets", "priorities", "max_priority")
+
+    def __init__(self, signature: tuple):
+        self.signature = signature
+        self.buckets: dict[tuple, list[FlowEntry]] = {}
+        self.priorities: dict[int, int] = {}
+        self.max_priority = 0
+
+    def add(self, key: tuple, entry: FlowEntry) -> bool:
+        """File the entry; True when the highest priority rose."""
+        bucket = self.buckets.get(key)
+        if bucket is None:
+            self.buckets[key] = [entry]
+        else:
+            bisect.insort(bucket, entry, key=_order)
+        p = entry.priority
+        self.priorities[p] = self.priorities.get(p, 0) + 1
+        if p > self.max_priority:
+            self.max_priority = p
+            return True
+        return False
+
+    def discard(self, key: tuple, entry: FlowEntry) -> bool:
+        """Drop the entry; True when the highest priority fell."""
+        bucket = self.buckets[key]
+        bucket.remove(entry)
+        if not bucket:
+            del self.buckets[key]
+        p = entry.priority
+        left = self.priorities.pop(p) - 1
+        if left:
+            self.priorities[p] = left
+        elif p == self.max_priority:
+            self.max_priority = max(self.priorities, default=0)
+            return True
+        return False
+
+
 class FlowTable:
     def __init__(self, table_id: int):
         self.table_id = table_id
         self.entries: list[FlowEntry] = []
         self.lookup_count = 0
         self.matched_count = 0
+        self._subtables: dict[tuple, _Subtable] = {}
+        self._probe_order: list[_Subtable] | None = []  # None: to be re-sorted
 
     def insert(self, entry: FlowEntry) -> FlowEntry | None:
         """Insert preserving order; an entry with identical match and
@@ -80,24 +163,73 @@ class FlowTable:
         for i, e in enumerate(self.entries):
             if e.priority == entry.priority and e.match == entry.match:
                 replaced = self.entries.pop(i)
+                self._unfile(replaced)
                 break
-        bisect.insort(self.entries, entry, key=lambda e: (-e.priority, e.insertion_seq))
+        bisect.insort(self.entries, entry, key=_order)
+        compiled = _compile(entry.match)
+        if compiled is not None:
+            signature, key = compiled
+            sub = self._subtables.get(signature)
+            if sub is None:
+                sub = self._subtables[signature] = _Subtable(signature)
+                self._probe_order = None
+            if sub.add(key, entry):
+                self._probe_order = None
         return replaced
 
     def remove(self, entry: FlowEntry) -> None:
         self.entries.remove(entry)
+        self._unfile(entry)
+
+    def _unfile(self, entry: FlowEntry) -> None:
+        """Take an entry out of its subtable."""
+        compiled = _compile(entry.match)
+        if compiled is None:
+            return
+        signature, key = compiled
+        sub = self._subtables[signature]
+        if sub.discard(key, entry):
+            if not sub.buckets:
+                del self._subtables[signature]
+            self._probe_order = None
 
     def lookup(self, fields: dict, now: float = 0.0, pkt_len: int = 0) -> FlowEntry | None:
-        """First matching entry in priority order; updates its counters."""
+        """First matching entry in priority order; updates its counters.
+        Field values are bytes, as the packet parser makes them."""
         self.lookup_count += 1
-        for e in self.entries:
-            if e.match.matches(fields):
-                e.packet_count += 1
-                e.byte_count += pkt_len
-                e.last_match_time = now
-                self.matched_count += 1
-                return e
-        return None
+        order = self._probe_order
+        if order is None:
+            order = self._probe_order = sorted(
+                self._subtables.values(), key=lambda s: -s.max_priority)
+        get = fields.get
+        best = None
+        for sub in order:
+            if best is not None and sub.max_priority < best.priority:
+                break
+            key = []
+            for name, mask, nbytes in sub.signature:
+                raw = get(name)
+                if raw is None:
+                    break
+                if mask is not None:
+                    if len(raw) != nbytes:
+                        break
+                    raw = int.from_bytes(raw, "big") & mask
+                key.append(raw)
+            else:
+                bucket = sub.buckets.get(tuple(key))
+                if bucket is not None:
+                    e = bucket[0]
+                    if (best is None or e.priority > best.priority
+                            or (e.priority == best.priority
+                                and e.insertion_seq < best.insertion_seq)):
+                        best = e
+        if best is not None:
+            best.packet_count += 1
+            best.byte_count += pkt_len
+            best.last_match_time = now
+            self.matched_count += 1
+        return best
 
     def select(self, match: MatchSet, strict: bool, priority: int = 0,
                cookie: int = 0, cookie_mask: int = 0) -> list[FlowEntry]:

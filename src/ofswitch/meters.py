@@ -61,7 +61,6 @@ class MeterEntry:
         self.buckets = [_BandBucket(b, now) for b in bands]
         self.packet_in_count = 0
         self.byte_in_count = 0
-        self.flow_count = 0
 
     def _debit_for(self, pkt_len: int) -> float:
         if self.flags & OFPMF_PKTPS:

@@ -1,11 +1,13 @@
-"""Flow table semantics: ordering, replacement, selection, timeouts."""
+"""Flow table semantics: ordering, replacement, lookup, selection, timeouts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofswitch import messages as m
 from ofswitch.errors import BadInstruction, BadTableId, OverlapError
 from ofswitch.flowtable import FlowEntry, FlowTable
-from ofswitch.oxm import MatchSet
+from ofswitch.oxm import OFPXMC_OPENFLOW_BASIC, MatchSet, OxmField, make_field
 
 
 def entry(priority, seq, pairs=None, **kw):
@@ -181,3 +183,124 @@ def test_expire_notifies_with_flag(datapath, clock):
     assert len(gone) == 2
     assert len(removed) == 1  # only the flagged entry is announced
     assert removed[0][1] == m.OFPRR_HARD_TIMEOUT
+
+
+# -- tuple-space lookup against a linear scan ----------------------------------------
+
+def scan_lookup(table, fields):
+    """The reference classifier: the first entry in table order whose
+    match accepts the field map."""
+    return next((e for e in table.entries if e.match.matches(fields)), None)
+
+
+_ADDRS = [bytes([10, 0, 0, 1]), bytes([10, 0, 1, 1]), bytes([10, 1, 0, 1]),
+          bytes([11, 0, 0, 1])]
+_PORTS = [(1).to_bytes(4, "big"), (2).to_bytes(4, "big")]
+_ETH_TYPES = [b"\x08\x00", b"\x86\xdd"]
+# ipv4_dst constraints: exact, or a prefix mask of 0, 8, 16, 24 or 32 bits
+_PREFIXES = [None, 0, 8, 16, 24, 32]
+# a field this switch does not know: an entry naming it never matches
+_UNKNOWN = OxmField(OFPXMC_OPENFLOW_BASIC, 99, b"\x01")
+
+
+def _prefix_mask(bits):
+    return ((1 << 32) - (1 << (32 - bits))).to_bytes(4, "big")
+
+
+_match_specs = st.tuples(
+    st.sampled_from([None] + _PORTS),
+    st.sampled_from([None] + _ETH_TYPES),
+    st.sampled_from([None] + _ADDRS),
+    st.sampled_from(_PREFIXES),
+    st.sampled_from([False] * 7 + [True]),  # the unknown field
+    st.booleans(),  # list the fields in reverse order
+)
+
+
+def build_match(spec):
+    port, eth_type, addr, prefix, unknown, reverse = spec
+    fields = []
+    if addr is not None:
+        mask = None if prefix is None else _prefix_mask(prefix)
+        fields.append(make_field("ipv4_dst", addr, mask))
+    if eth_type is not None:
+        fields.append(make_field("eth_type", eth_type))
+    if port is not None:
+        fields.append(make_field("in_port", port))
+    if unknown:
+        fields.append(_UNKNOWN)
+    return MatchSet(fields[::-1] if reverse else fields)
+
+
+_PKT_VALUES = {
+    "in_port": st.sampled_from(_PORTS),
+    "eth_type": st.sampled_from(_ETH_TYPES),
+    # a 3-byte value never satisfies a masked 4-byte field
+    "ipv4_dst": st.sampled_from(_ADDRS + [b"\x0a\x00\x00"]),
+}
+# field maps with every field, or with some missing
+_field_maps = st.one_of(
+    st.fixed_dictionaries(_PKT_VALUES, optional={"udp_dst": st.just(b"\x00\x35")}),
+    st.fixed_dictionaries({}, optional=_PKT_VALUES),
+)
+
+_inserts = st.tuples(st.just("insert"), st.integers(0, 3), _match_specs)
+_table_ops = st.one_of(
+    _inserts,
+    st.tuples(st.just("replace"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("remove"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("lookup"), _field_maps),
+)
+
+
+@given(ops=st.lists(_inserts, min_size=4, max_size=30).flatmap(
+    lambda fill: st.lists(_table_ops, min_size=1, max_size=40).map(lambda ops: fill + ops)))
+@settings(max_examples=400, deadline=None)
+def test_lookup_equals_linear_scan(ops):
+    t = FlowTable(0)
+    seq = lookups = matched = 0
+    for op in ops:
+        if op[0] == "insert" or (op[0] == "replace" and t.entries):
+            if op[0] == "insert":
+                priority, match = op[1], build_match(op[2])
+            else:
+                old = t.entries[op[1] % len(t.entries)]
+                priority, match = old.priority, MatchSet(old.match)
+            seq += 1
+            before = [e for e in t.entries if e.priority == priority and e.match == match]
+            new = FlowEntry(match, priority, [], insertion_seq=seq)
+            assert t.insert(new) is (before[0] if before else None)
+            assert new in t.entries and not any(e in t.entries for e in before)
+        elif op[0] == "remove" and t.entries:
+            t.remove(t.entries[op[1] % len(t.entries)])
+        elif op[0] == "lookup":
+            fields = op[1]
+            want = scan_lookup(t, fields)
+            count = want.packet_count if want else 0
+            assert t.lookup(fields, 1.0, 60) is want
+            lookups += 1
+            if want is not None:
+                matched += 1
+                assert want.packet_count == count + 1 and want.last_match_time == 1.0
+    assert (t.lookup_count, t.matched_count) == (lookups, matched)
+
+
+def test_lookup_calls_no_match_test(monkeypatch):
+    t = FlowTable(0)
+    for i in range(10_000):
+        addr = bytes([10, 0, i >> 8, i & 0xFF])
+        pairs = {"eth_type": 0x0800, "ipv4_dst": (addr, "255.255.255.255") if i % 2 else addr}
+        t.insert(FlowEntry(MatchSet.from_pairs(pairs), i, [], insertion_seq=i))
+    calls = []
+    matches = MatchSet.matches
+
+    def counting(self, fields):
+        calls.append(1)
+        return matches(self, fields)
+
+    monkeypatch.setattr(MatchSet, "matches", counting)
+    hit = {"eth_type": b"\x08\x00", "ipv4_dst": bytes([10, 0, 0, 7])}
+    miss = {"eth_type": b"\x08\x00", "ipv4_dst": bytes([172, 16, 0, 1])}
+    assert t.lookup(hit).priority == 7
+    assert t.lookup(miss) is None
+    assert calls == []

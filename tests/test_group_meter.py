@@ -173,6 +173,32 @@ def test_meter_dscp_remark_bumps_precedence(datapath, clock):
     assert (r2.egress[0][1][15] >> 2) == 12  # AF11 -> AF12
 
 
+def test_meter_stats_count_the_flows_that_use_the_meter(datapath):
+    for mid in (1, 2):
+        datapath.meter_mod(m.MeterMod(m.OFPMC_ADD, m.OFPMF_PKTPS, mid, [m.DropBand(10)]))
+
+    def add(table_id, port, meter_id):
+        datapath.flow_mod(m.FlowMod(
+            command=m.OFPFC_ADD, table_id=table_id, priority=1,
+            match=MatchSet.from_pairs({"in_port": port}),
+            instructions=[m.MeterInstruction(meter_id), m.ApplyActions([m.OutputAction(2)])]))
+
+    add(0, 1, 1)
+    add(3, 1, 1)
+    add(0, 2, 2)
+    datapath.flow_mod(m.FlowMod(command=m.OFPFC_ADD, priority=0))
+
+    def flows():
+        return {s.meter_id: s.flow_count
+                for s in datapath.meter_stats(m.MeterStatsRequest(0xFFFFFFFF))}
+
+    assert flows() == {1: 2, 2: 1}
+    datapath.flow_mod(m.FlowMod(command=m.OFPFC_DELETE_STRICT, table_id=3, priority=1,
+                                match=MatchSet.from_pairs({"in_port": 1})))
+    assert flows() == {1: 1, 2: 1}
+    assert datapath.meter_stats(m.MeterStatsRequest(2))[0].flow_count == 1
+
+
 def test_meter_unknown_raises(clock):
     mt = MeterTable(clock)
     with pytest.raises(BadMeterId):
