@@ -27,6 +27,7 @@ from .errors import (
     BadMatch,
     BadMeterId,
     BadMultipart,
+    BadOutGroup,
     BadPort,
     BadTableId,
     BadType,
@@ -54,6 +55,7 @@ _ERROR_MAP = [
     (BadGroupType, (m.OFPET_GROUP_MOD_FAILED, m.OFPGMFC_BAD_TYPE)),
     (BadGroupId, (m.OFPET_GROUP_MOD_FAILED, m.OFPGMFC_INVALID_GROUP)),
     (BadMeterId, (m.OFPET_METER_MOD_FAILED, m.OFPMMFC_UNKNOWN_METER)),
+    (BadOutGroup, (m.OFPET_BAD_ACTION, m.OFPBAC_BAD_OUT_GROUP)),
     (BadPort, (m.OFPET_BAD_ACTION, 4)),
     (StatefulError, (m.OFPET_EXPERIMENTER, 1)),
     (BadVersion, (m.OFPET_HELLO_FAILED, m.OFPHFC_INCOMPATIBLE)),

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from . import messages as m
 from .errors import (
     BadInstruction,
+    BadOutGroup,
     BadTable,
     BadTableId,
     BadTemplate,
@@ -117,6 +118,7 @@ class Datapath:
         if cmd == m.OFPFC_ADD:
             table = self._table(fm.table_id)
             fm.match.validate_prerequisites()
+            now = self.clock()
             entry = FlowEntry(
                 match=fm.match,
                 priority=fm.priority,
@@ -126,10 +128,11 @@ class Datapath:
                 cookie=fm.cookie,
                 flags=fm.flags,
                 insertion_seq=self._next_seq(),
-                install_time=self.clock(),
-                last_match_time=self.clock(),
+                install_time=now,
+                last_match_time=now,
             )
             entry.validate_instructions(fm.table_id, self.n_tables)
+            self._check_references(fm.instructions)
             if fm.flags & m.OFPFF_CHECK_OVERLAP:
                 other = table.find_overlap(fm.match, fm.priority)
                 if other is not None:
@@ -143,6 +146,7 @@ class Datapath:
             strict = cmd == m.OFPFC_MODIFY_STRICT
             FlowEntry(fm.match, fm.priority, fm.instructions).validate_instructions(
                 fm.table_id, self.n_tables)
+            self._check_references(fm.instructions)
             for e in table.select(fm.match, strict, fm.priority, fm.cookie, fm.cookie_mask):
                 e.instructions = fm.instructions
             return
@@ -158,6 +162,21 @@ class Datapath:
                     self._notify_removed(e, m.OFPRR_DELETE, table.table_id)
             return
         raise BadInstruction(f"unknown flow-mod command {cmd}")
+
+    def _check_references(self, instructions) -> None:
+        """Raise when an instruction names a group, meter, packet template
+        or state table that does not exist, so no packet can meet it."""
+        for ins in instructions:
+            if isinstance(ins, m.MeterInstruction):
+                self.meters.get(ins.meter_id)
+            elif isinstance(ins, (m.ApplyActions, m.WriteActions)):
+                for a in ins.actions:
+                    if isinstance(a, m.GroupAction) and a.group_id not in self.groups.groups:
+                        raise BadOutGroup(f"group {a.group_id} does not exist")
+                    if isinstance(a, m.PktGenAction) and a.template_id not in self.templates:
+                        raise BadTemplate(f"template {a.template_id} is not registered")
+                    if isinstance(a, m.SetStateAction):
+                        self._state_table(a.table_id)
 
     def group_mod(self, gm: m.GroupMod) -> None:
         self.groups.modify(gm.command, gm.group_id, gm.group_type, gm.buckets)

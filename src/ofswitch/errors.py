@@ -103,6 +103,10 @@ class BadMeterId(DatapathError):
     pass
 
 
+class BadOutGroup(DatapathError):
+    """A flow's group action names a group that does not exist."""
+
+
 class BadPort(DatapathError):
     pass
 

@@ -1,20 +1,22 @@
 """Flow entries, priority-ordered flow tables, and the timeout rule.
 
 A table is one list of entries sorted by (priority descending, insertion
-sequence ascending).  Lookup is tuple-space search over that list: each
-match compiles at insert into a signature, the names of its fields with
-each field's mask as an int (None for an exact field), and a key, the
-exact fields' value bytes and the masked fields' values as ints.  Entries
-that share a signature live in one hash subtable keyed by that key, so a
-lookup makes one dict probe per signature.  Subtables are probed in
-descending order of their highest priority, and the probe stops once the
-best hit's priority is above every remaining subtable's; a subtable whose
-highest priority equals the best hit's is still probed, because a tie at
-equal priority goes to the lowest insertion sequence (``Datapath`` gives
-every entry its own).  A match naming a field this switch does not know
-never matches and joins no subtable.
+sequence ascending), indexed by tuple-space search: each match compiles
+at insert into a signature, its fields in ``(oxm_class, field_id)`` order
+with each mask as an int (None for an exact field), and a key, the exact
+fields' value bytes and the masked fields' values as ints, so equal
+matches compile alike.  Entries that share a signature live in one hash
+subtable keyed by that key.  A lookup makes one dict probe per signature;
+install, strict selection and removal make one probe in all.  Lookup
+probes subtables in descending order of their highest priority and stops
+once the best hit's priority is above every remaining subtable's; a
+subtable whose highest priority equals the best hit's is still probed,
+because a tie at equal priority goes to the lowest insertion sequence
+(``Datapath`` gives every entry its own).  A field this switch does not
+know is named by its ``(oxm_class, field_id)``, which no packet field map
+holds, so an entry naming one never matches.
 
-Install, selection, overlap and expiry are linear scans of the list.
+Non-strict selection, overlap and expiry are linear scans of the list.
 ``timeout_reason`` is the one rule for when a timer has run out, shared
 by flow entries and state entries.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import BadInstruction
 from .messages import OFPRR_HARD_TIMEOUT, OFPRR_IDLE_TIMEOUT, GotoTable
@@ -41,7 +44,7 @@ def timeout_reason(idle_timeout: int, hard_timeout: int, install_time: float,
     return None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FlowEntry:
     match: MatchSet
     priority: int
@@ -79,24 +82,26 @@ class FlowEntry:
                 raise BadInstruction(f"goto-table target {g.table_id} out of range")
 
 
-def _compile(match: MatchSet) -> tuple[tuple, tuple] | None:
-    """The (signature, key) of a match, or None when it names a field this
-    switch does not know.  Signature items are ``(name, mask, nbytes)`` in
-    the match's field order, with ``mask`` an int or None for an exact
-    field; the key holds an exact field's value bytes and a masked field's
-    value as an int.  The same fields in another order make another
-    signature, which costs a lookup one more probe and changes no result."""
+_field_order = attrgetter("oxm_class", "field_id")
+
+
+def _compile(match: MatchSet) -> tuple[tuple, tuple]:
+    """The (signature, key) of a match.  Signature items are ``(name,
+    mask, nbytes)`` in ``(oxm_class, field_id)`` order, with ``mask`` an
+    int or None for an exact field and ``name`` the field's, or its
+    ``(oxm_class, field_id)`` when this switch does not know it; the key
+    holds an exact field's value bytes and a masked field's value as an
+    int.  Two matches compile alike exactly when they are equal."""
     signature, key = [], []
-    for f in match:
+    for f in sorted(match, key=_field_order):
         t = field_by_key(f.oxm_class, f.field_id)
-        if t is None:
-            return None
+        name = (f.oxm_class, f.field_id) if t is None else t.name
         value = f.value
         if f.mask is None:
-            signature.append((t.name, None, len(value)))
+            signature.append((name, None, len(value)))
             key.append(bytes(value))
         else:
-            signature.append((t.name, int.from_bytes(f.mask, "big"), len(value)))
+            signature.append((name, int.from_bytes(f.mask, "big"), len(value)))
             key.append(int.from_bytes(value, "big"))
     return tuple(signature), tuple(key)
 
@@ -113,17 +118,20 @@ class _Subtable:
 
     def __init__(self, signature: tuple):
         self.signature = signature
-        self.buckets: dict[tuple, list[FlowEntry]] = {}
+        self.buckets: dict[tuple, tuple[FlowEntry, ...]] = {}
         self.priorities: dict[int, int] = {}
         self.max_priority = 0
 
+    def find(self, key: tuple, priority: int) -> FlowEntry | None:
+        """The entry with this key and priority; a table holds at most one."""
+        for e in self.buckets.get(key, ()):
+            if e.priority == priority:
+                return e
+        return None
+
     def add(self, key: tuple, entry: FlowEntry) -> bool:
         """File the entry; True when the highest priority rose."""
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            self.buckets[key] = [entry]
-        else:
-            bisect.insort(bucket, entry, key=_order)
+        self.buckets[key] = tuple(sorted(self.buckets.get(key, ()) + (entry,), key=_order))
         p = entry.priority
         self.priorities[p] = self.priorities.get(p, 0) + 1
         if p > self.max_priority:
@@ -133,9 +141,10 @@ class _Subtable:
 
     def discard(self, key: tuple, entry: FlowEntry) -> bool:
         """Drop the entry; True when the highest priority fell."""
-        bucket = self.buckets[key]
-        bucket.remove(entry)
-        if not bucket:
+        bucket = tuple(e for e in self.buckets[key] if e is not entry)
+        if bucket:
+            self.buckets[key] = bucket
+        else:
             del self.buckets[key]
         p = entry.priority
         left = self.priorities.pop(p) - 1
@@ -159,39 +168,36 @@ class FlowTable:
     def insert(self, entry: FlowEntry) -> FlowEntry | None:
         """Insert preserving order; an entry with identical match and
         priority is replaced and returned."""
-        replaced = None
-        for i, e in enumerate(self.entries):
-            if e.priority == entry.priority and e.match == entry.match:
-                replaced = self.entries.pop(i)
-                self._unfile(replaced)
-                break
+        signature, key = _compile(entry.match)
+        sub = self._subtables.get(signature)
+        if sub is None:
+            sub = self._subtables[signature] = _Subtable(signature)
+            self._probe_order = None
+        replaced = sub.find(key, entry.priority)
+        if replaced is not None:
+            sub.discard(key, replaced)
+            del self.entries[self._index(replaced)]
         bisect.insort(self.entries, entry, key=_order)
-        compiled = _compile(entry.match)
-        if compiled is not None:
-            signature, key = compiled
-            sub = self._subtables.get(signature)
-            if sub is None:
-                sub = self._subtables[signature] = _Subtable(signature)
-                self._probe_order = None
-            if sub.add(key, entry):
-                self._probe_order = None
+        if sub.add(key, entry):
+            self._probe_order = None
         return replaced
 
     def remove(self, entry: FlowEntry) -> None:
-        self.entries.remove(entry)
-        self._unfile(entry)
-
-    def _unfile(self, entry: FlowEntry) -> None:
-        """Take an entry out of its subtable."""
-        compiled = _compile(entry.match)
-        if compiled is None:
-            return
-        signature, key = compiled
+        del self.entries[self._index(entry)]
+        signature, key = _compile(entry.match)
         sub = self._subtables[signature]
         if sub.discard(key, entry):
             if not sub.buckets:
                 del self._subtables[signature]
             self._probe_order = None
+
+    def _index(self, entry: FlowEntry) -> int:
+        """The entry's position in ``entries``, found by bisection."""
+        entries = self.entries
+        i = bisect.bisect_left(entries, _order(entry), key=_order)
+        while entries[i] is not entry:
+            i += 1
+        return i
 
     def lookup(self, fields: dict, now: float = 0.0, pkt_len: int = 0) -> FlowEntry | None:
         """First matching entry in priority order; updates its counters.
@@ -234,16 +240,19 @@ class FlowTable:
     def select(self, match: MatchSet, strict: bool, priority: int = 0,
                cookie: int = 0, cookie_mask: int = 0) -> list[FlowEntry]:
         """Entries a non-strict/strict flow-mod refers to."""
+        if strict:
+            signature, key = _compile(match)
+            sub = self._subtables.get(signature)
+            e = None if sub is None else sub.find(key, priority)
+            if e is None or cookie_mask and (e.cookie ^ cookie) & cookie_mask:
+                return []
+            return [e]
         out = []
         for e in self.entries:
             if cookie_mask and (e.cookie ^ cookie) & cookie_mask:
                 continue
-            if strict:
-                if e.priority == priority and e.match == match:
-                    out.append(e)
-            else:
-                if e.match.is_subset_of(match):
-                    out.append(e)
+            if e.match.is_subset_of(match):
+                out.append(e)
         return out
 
     def find_overlap(self, match: MatchSet, priority: int) -> FlowEntry | None:

@@ -123,6 +123,7 @@ OFPBRC_BAD_PACKET = 12
 OFPFMFC_BAD_TABLE_ID = 2
 OFPFMFC_OVERLAP = 3
 OFPBAC_BAD_TYPE = 0
+OFPBAC_BAD_OUT_GROUP = 9
 OFPBIC_UNKNOWN_INST = 0
 OFPBIC_BAD_TABLE_ID = 2
 OFPBMC_BAD_FIELD = 6
@@ -134,49 +135,49 @@ OFPMMFC_BAD_BAND = 8
 
 # -- actions -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutputAction:
     port: int
     max_len: int = OFPCML_NO_BUFFER
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupAction:
     group_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PushVlanAction:
     ethertype: int = 0x8100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PopVlanAction:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PushMplsAction:
     ethertype: int = 0x8847
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PopMplsAction:
     ethertype: int = 0x0800
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetFieldAction:
     field: "OxmFieldLike"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimenterAction:
     experimenter_id: int
     payload: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetStateAction:
     """Fast-path state write against a stateful flow table."""
 
@@ -189,7 +190,7 @@ class SetStateAction:
     use_lookup_scope: bool = False  # default: key extracted with update scope
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PktGenAction:
     """Emit a registered packet template, substituting trigger fields."""
 
@@ -203,18 +204,18 @@ OxmFieldLike = object
 
 # -- instructions --------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GotoTable:
     table_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteMetadata:
     metadata: int
     mask: int = 0xFFFFFFFFFFFFFFFF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteActions:
     actions: tuple
 
@@ -222,7 +223,7 @@ class WriteActions:
         object.__setattr__(self, "actions", tuple(self.actions))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApplyActions:
     actions: tuple
 
@@ -230,19 +231,19 @@ class ApplyActions:
         object.__setattr__(self, "actions", tuple(self.actions))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClearActions:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeterInstruction:
     meter_id: int
 
 
 # -- group / meter pieces -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bucket:
     actions: tuple
     weight: int = 0
@@ -253,13 +254,13 @@ class Bucket:
         object.__setattr__(self, "actions", tuple(self.actions))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DropBand:
     rate: int
     burst: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DscpRemarkBand:
     rate: int
     burst: int = 0
@@ -268,34 +269,34 @@ class DscpRemarkBand:
 
 # -- message bodies --------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hello:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Error:
     err_type: int
     code: int
     data: bytes = b""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EchoRequest:
     payload: bytes = b""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EchoReply:
     payload: bytes = b""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeaturesRequest:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeaturesReply:
     datapath_id: int
     n_buffers: int
@@ -304,7 +305,7 @@ class FeaturesReply:
     aux_id: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowMod:
     table_id: int = 0
     command: int = OFPFC_ADD
@@ -324,7 +325,7 @@ class FlowMod:
         self.instructions = tuple(self.instructions)
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupMod:
     command: int
     group_type: int
@@ -335,7 +336,7 @@ class GroupMod:
         self.buckets = tuple(self.buckets)
 
 
-@dataclass
+@dataclass(slots=True)
 class MeterMod:
     command: int
     flags: int
@@ -346,7 +347,7 @@ class MeterMod:
         self.bands = tuple(self.bands)
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketIn:
     buffer_id: int
     reason: int
@@ -361,7 +362,7 @@ class PacketIn:
             self.total_len = len(self.payload)
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketOut:
     buffer_id: int
     in_port: int
@@ -372,7 +373,7 @@ class PacketOut:
         self.actions = tuple(self.actions)
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRemoved:
     cookie: int
     priority: int
@@ -387,14 +388,14 @@ class FlowRemoved:
     match: MatchSet
 
 
-@dataclass
+@dataclass(slots=True)
 class MultipartRequest:
     kind: int
     body: object = None
     flags: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class MultipartReply:
     kind: int
     body: object = None
@@ -405,14 +406,14 @@ class MultipartReply:
             self.body = list(self.body)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Experimenter:
     experimenter_id: int
     exp_type: int
     payload: bytes = b""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unsupported:
     msg_type: int
     raw: bytes
@@ -420,7 +421,7 @@ class Unsupported:
 
 # -- multipart bodies -------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class FlowStatsRequest:
     table_id: int = OFPTT_ALL
     out_port: int = OFPP_ANY
@@ -430,7 +431,7 @@ class FlowStatsRequest:
     match: MatchSet = dfield(default_factory=MatchSet)
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowStats:
     table_id: int
     duration_sec: int
@@ -449,12 +450,12 @@ class FlowStats:
         self.instructions = tuple(self.instructions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortStatsRequest:
     port_no: int = OFPP_ANY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortStats:
     port_no: int
     rx_packets: int
@@ -469,12 +470,12 @@ class PortStats:
     duration_nsec: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortDescRequest:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortDesc:
     port_no: int
     hw_addr: bytes
@@ -483,12 +484,12 @@ class PortDesc:
     state: int = 0  # bit 0: link down
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupStatsRequest:
     group_id: int = OFPG_ALL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupStats:
     group_id: int
     ref_count: int
@@ -497,12 +498,12 @@ class GroupStats:
     bucket_stats: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeterStatsRequest:
     meter_id: int = 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeterStats:
     meter_id: int
     flow_count: int
@@ -510,14 +511,14 @@ class MeterStats:
     byte_in_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateStatsRequest:
     """Experimenter multipart body: dump a table's state entries."""
 
     table_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateStats:
     table_id: int
     entries: tuple  # of (key bytes, state int)
@@ -544,7 +545,7 @@ _BODY_TYPE = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class OfMessage:
     xid: int
     body: object

@@ -25,7 +25,7 @@ OFPVID_PRESENT = 0x1000
 OFPVID_NONE = 0x0000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OxmType:
     name: str
     oxm_class: int
@@ -88,6 +88,8 @@ FIELDS: dict[str, OxmType] = {
 }
 
 _BY_KEY: dict[tuple[int, int], OxmType] = {(t.oxm_class, t.field_id): t for t in FIELDS.values()}
+# one shared key tuple per known field, so match sets do not each hold copies
+_KEYS = {key: key for key in _BY_KEY}
 
 
 def field_type(name: str) -> OxmType:
@@ -143,7 +145,7 @@ def encode_value(name: str, value) -> bytes:
     return _to_bytes(value, field_type(name).nbytes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OxmField:
     oxm_class: int
     field_id: int
@@ -190,6 +192,8 @@ def make_field(name: str, value, mask=None) -> OxmField:
 class MatchSet:
     """Ordered collection of OXM fields keyed by (class, field_id)."""
 
+    __slots__ = ("_fields",)
+
     def __init__(self, fields: Iterable[OxmField] = ()):
         self._fields: dict[tuple[int, int], OxmField] = {}
         for f in fields:
@@ -208,6 +212,7 @@ class MatchSet:
 
     def add(self, field: OxmField) -> None:
         key = (field.oxm_class, field.field_id)
+        key = _KEYS.get(key, key)
         if key in self._fields:
             raise BadMatch(f"duplicate match field {field.name or key}")
         self._fields[key] = field

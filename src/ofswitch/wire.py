@@ -113,10 +113,10 @@ def decode_oxm(r: _Reader) -> OxmField:
     if has_mask:
         if len(body) != 2 * vlen:
             raise BadMatch(f"{t.name}: masked OXM payload length {len(body)} != {2*vlen}")
-        return OxmField(oxm_class, field_id, body[:vlen], body[vlen:])
+        return OxmField(t.oxm_class, field_id, body[:vlen], body[vlen:])
     if len(body) != vlen:
         raise BadMatch(f"{t.name}: OXM payload length {len(body)} != {vlen}")
-    return OxmField(oxm_class, field_id, body)
+    return OxmField(t.oxm_class, field_id, body)  # the registry's int, shared by every field
 
 
 def encode_match(match: MatchSet) -> bytes:

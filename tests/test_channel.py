@@ -17,6 +17,7 @@ from ofswitch.channel import (
 )
 from ofswitch.errors import HelloFailed
 from ofswitch.oxm import STATE_EXPERIMENTER_ID, MatchSet
+from ofswitch.pkt import build
 from ofswitch.stateful import (
     EXPMSG_SET_PKT_TEMPLATE,
     EXPMSG_SET_STATE_ENTRY,
@@ -189,6 +190,34 @@ def test_short_packet_out_gets_bad_packet_error(session):
     po = m.PacketOut(m.OFP_NO_BUFFER, m.OFPP_CONTROLLER, [m.OutputAction(1)], b"\x00" * 5)
     err = _one_error(conn, pipe, 21, po)
     assert (err.err_type, err.code) == (m.OFPET_BAD_REQUEST, m.OFPBRC_BAD_PACKET)
+
+
+_DANGLING = {
+    "group": (m.ApplyActions([m.GroupAction(7)]), (2, 9)),
+    "meter": (m.MeterInstruction(7), (12, 3)),
+    "template": (m.ApplyActions([m.PktGenAction(7)]), (0xFFFF, 1)),
+    "state-table": (m.WriteActions([m.SetStateAction(0, 5)]), (0xFFFF, 1)),
+}
+
+
+@pytest.mark.parametrize("command", [m.OFPFC_ADD, m.OFPFC_MODIFY, m.OFPFC_MODIFY_STRICT],
+                         ids=["add", "modify", "modify-strict"])
+@pytest.mark.parametrize("kind", list(_DANGLING))
+def test_flow_mod_naming_an_absent_object_is_rejected(session, datapath, kind, command):
+    """A flow whose instructions name a group, meter, packet template or
+    state table that does not exist is refused, so no packet can meet it."""
+    conn, pipe = session
+    conn.feed(flow_mod_bytes(xid=5))
+    instruction, code = _DANGLING[kind]
+    err = _one_error(conn, pipe, 6, m.FlowMod(
+        command=command, priority=10, match=MatchSet.from_pairs({"in_port": 1}),
+        instructions=[instruction, m.ApplyActions([m.OutputAction(3)])]))
+    assert (err.err_type, err.code) == code
+    assert [e.instructions for e in datapath.tables[0].entries] == [
+        (m.ApplyActions([m.OutputAction(2)]),)]
+    frame = build.udp4_frame("0a:00:00:00:00:02", "0a:00:00:00:00:01",
+                             "10.0.0.1", "10.0.0.2", 1000, 2000, b"x")
+    assert [p for p, _ in datapath.receive_packet(1, frame).egress] == [2]
 
 
 def test_error_codes_are_openflow_13_numbers(session):

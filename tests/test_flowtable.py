@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofswitch import messages as m
+from ofswitch.datapath import Datapath
 from ofswitch.errors import BadInstruction, BadTableId, OverlapError
 from ofswitch.flowtable import FlowEntry, FlowTable
 from ofswitch.oxm import OFPXMC_OPENFLOW_BASIC, MatchSet, OxmField, make_field
@@ -303,4 +304,190 @@ def test_lookup_calls_no_match_test(monkeypatch):
     miss = {"eth_type": b"\x08\x00", "ipv4_dst": bytes([172, 16, 0, 1])}
     assert t.lookup(hit).priority == 7
     assert t.lookup(miss) is None
+    assert calls == []
+
+
+# -- flow-mods through the index against a linear scan --------------------------------
+
+_FULL_MASK = b"\xff" * 4
+_IP4 = make_field("eth_type", 0x0800)
+
+
+def build_mod_match(spec):
+    """A match from ``(port, addr, addr_mask, unknown, reverse)``: an
+    ``ipv4_dst`` (with its ``eth_type`` prerequisite) exact, under an
+    all-ones mask or under a /24 mask, an ``in_port``, the unknown field,
+    listed forwards or backwards."""
+    port, addr, addr_mask, unknown, reverse = spec
+    fields = []
+    if addr is not None:
+        fields += [_IP4, make_field("ipv4_dst", addr, addr_mask)]
+    if port is not None:
+        fields.append(make_field("in_port", port))
+    if unknown:
+        fields.append(_UNKNOWN)
+    return MatchSet(fields[::-1] if reverse else fields)
+
+
+_mod_specs = st.tuples(
+    st.sampled_from([None] + _PORTS),
+    st.sampled_from([None] + _ADDRS[:2]),
+    st.sampled_from([None, _FULL_MASK, _prefix_mask(24)]),
+    st.sampled_from([False] * 9 + [True]),
+    st.booleans(),
+)
+_cookies = st.sampled_from([0x10, 0x11, 0x20])
+_cookie_masks = st.sampled_from([0, 0xF0, 0xFF])
+_mod_ops = st.one_of(
+    st.tuples(st.just("add"), _mod_specs, st.integers(1, 3), _cookies,
+              st.sampled_from([(0, 0), (0, 2), (1, 0), (3, 5)])),  # (idle, hard)
+    st.tuples(st.just("readd"), st.integers(0, 1 << 16), st.booleans()),
+    st.tuples(st.sampled_from(["modify", "delete"]), _mod_specs, st.integers(1, 3),
+              _cookies, _cookie_masks),
+    st.tuples(st.just("redo"), st.sampled_from(["modify", "delete"]),
+              st.integers(0, 1 << 16), st.booleans(), _cookies, _cookie_masks),
+    st.tuples(st.just("delete_wide"), _mod_specs, _cookies, _cookie_masks),
+    st.tuples(st.just("expire"), st.sampled_from([0.5, 1.0, 2.0])),
+    st.tuples(st.just("lookup"), st.fixed_dictionaries(
+        {}, optional={"in_port": st.sampled_from(_PORTS), "eth_type": st.just(b"\x08\x00"),
+                      "ipv4_dst": st.sampled_from(_ADDRS[:2] + [bytes([10, 0, 0, 9])])})),
+)
+
+
+class _Row:
+    """The oracle's copy of one entry."""
+
+    def __init__(self, match, priority, seq, cookie, timeouts, now, port):
+        self.match, self.priority, self.seq, self.cookie = match, priority, seq, cookie
+        self.idle, self.hard = timeouts
+        self.installed = self.touched = now
+        self.port = port
+
+
+def _picked(row, cookie, cookie_mask):
+    return not cookie_mask or not (row.cookie ^ cookie) & cookie_mask
+
+
+def _out(port):
+    return (m.ApplyActions((m.OutputAction(port),)),)
+
+
+def _rewritten(match):
+    """The same match with its fields listed in the other order."""
+    return MatchSet(list(match)[::-1])
+
+
+def _resolve(op, rows):
+    """A concrete ``(kind, match, ...)`` op; ``readd`` and ``redo`` aim at
+    an existing row, whose match may be written in the other field order."""
+    kind = op[0]
+    if kind in ("add", "modify", "delete", "delete_wide"):
+        return (kind, build_mod_match(op[1])) + op[2:]
+    if kind == "readd" and rows:
+        row = rows[op[1] % len(rows)]
+        match = _rewritten(row.match) if op[2] else row.match
+        return ("add", match, row.priority, row.cookie, (row.idle, row.hard))
+    if kind == "redo" and rows:
+        row = rows[op[2] % len(rows)]
+        match = _rewritten(row.match) if op[3] else row.match
+        return (op[1], match, row.priority) + op[4:]
+    return op if kind in ("expire", "lookup") else None
+
+
+@given(ops=st.lists(_mod_ops, min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_flow_mods_equal_linear_scan(ops):
+    now = [0.0]
+    dp = Datapath(n_tables=1, clock=lambda: now[0])
+    table = dp.tables[0]
+    rows: list[_Row] = []  # in table order
+    seq = port = 0
+
+    def strict(match, priority, cookie, cookie_mask):
+        """The strict selection, by scan and ``MatchSet.__eq__``; it is
+        also checked against ``FlowTable.select``."""
+        want = [r for r in rows if r.priority == priority and r.match == match
+                and _picked(r, cookie, cookie_mask)]
+        got = table.select(match, True, priority, cookie, cookie_mask)
+        assert [(e.priority, e.insertion_seq) for e in got] == [(r.priority, r.seq) for r in want]
+        return want
+
+    for op in ops:
+        op = _resolve(op, rows)
+        if op is None:
+            continue
+        kind = op[0]
+        if kind == "add":
+            _, match, priority, cookie, timeouts = op
+            old = strict(match, priority, 0, 0)
+            seq += 1
+            port += 1
+            rows = [r for r in rows if r not in old]
+            rows.append(_Row(match, priority, seq, cookie, timeouts, now[0], port))
+            rows.sort(key=lambda r: (-r.priority, r.seq))
+            dp.flow_mod(m.FlowMod(command=m.OFPFC_ADD, match=match, priority=priority,
+                                  cookie=cookie, idle_timeout=timeouts[0],
+                                  hard_timeout=timeouts[1], instructions=_out(port)))
+        elif kind in ("modify", "delete"):
+            _, match, priority, cookie, cookie_mask = op
+            hit = strict(match, priority, cookie, cookie_mask)
+            port += 1
+            if kind == "modify":
+                for r in hit:
+                    r.port = port
+            else:
+                rows = [r for r in rows if r not in hit]
+            command = m.OFPFC_MODIFY_STRICT if kind == "modify" else m.OFPFC_DELETE_STRICT
+            dp.flow_mod(m.FlowMod(command=command, match=match, priority=priority,
+                                  cookie=cookie, cookie_mask=cookie_mask,
+                                  instructions=_out(port)))
+        elif kind == "delete_wide":
+            _, match, cookie, cookie_mask = op
+            rows = [r for r in rows if not (r.match.is_subset_of(match)
+                                            and _picked(r, cookie, cookie_mask))]
+            dp.flow_mod(m.FlowMod(command=m.OFPFC_DELETE, match=match, cookie=cookie,
+                                  cookie_mask=cookie_mask))
+        elif kind == "expire":
+            now[0] += op[1]
+            rows = [r for r in rows if not (r.hard and now[0] - r.installed >= r.hard
+                                            or r.idle and now[0] - r.touched >= r.idle)]
+            dp.expire()
+        else:
+            fields = op[1]
+            want = next((r for r in rows if r.match.matches(fields)), None)
+            got = table.lookup(fields, now[0], 60)
+            assert (got and got.insertion_seq) == (want and want.seq)
+            if want is not None:
+                want.touched = now[0]
+        assert [(e.priority, e.insertion_seq, e.cookie, e.instructions) for e in table.entries] \
+            == [(r.priority, r.seq, r.cookie, _out(r.port)) for r in rows]
+        assert all(e.match == r.match for e, r in zip(table.entries, rows))
+
+
+def test_flow_mods_call_no_match_comparison(monkeypatch):
+    t = FlowTable(0)
+    matches = []
+    for i in range(10_000):
+        addr = bytes([10, 0, i >> 8, i & 0xFF])
+        pairs = {"eth_type": 0x0800, "ipv4_dst": (addr, "255.255.255.255") if i % 2 else addr}
+        matches.append(MatchSet.from_pairs(pairs))
+        t.insert(FlowEntry(matches[-1], i % 5, [], insertion_seq=i))
+    calls = []
+    eq = MatchSet.__eq__
+
+    def counting(self, other):
+        calls.append(1)
+        return eq(self, other)
+
+    monkeypatch.setattr(MatchSet, "__eq__", counting)
+    old = t.entries[len(t) // 2]
+    new = FlowEntry(MatchSet(list(old.match)[::-1]), old.priority, [], insertion_seq=10_000)
+    assert t.insert(new) is old
+    assert t.insert(FlowEntry(MatchSet(), 9, [], insertion_seq=10_001)) is None
+    got = t.select(matches[7], True, 7 % 5)
+    assert len(got) == 1 and got[0].match is matches[7]
+    assert t.select(matches[7], True, 4) == []
+    t.remove(got[0])
+    t.remove(new)
+    assert len(t) == 9_999
     assert calls == []
