@@ -337,15 +337,16 @@ _mod_specs = st.tuples(
     st.booleans(),
 )
 _cookies = st.sampled_from([0x10, 0x11, 0x20])
+_variants = st.sampled_from(["same", "reversed", "mask", "unknown"])
 _cookie_masks = st.sampled_from([0, 0xF0, 0xFF])
 _mod_ops = st.one_of(
     st.tuples(st.just("add"), _mod_specs, st.integers(1, 3), _cookies,
               st.sampled_from([(0, 0), (0, 2), (1, 0), (3, 5)])),  # (idle, hard)
-    st.tuples(st.just("readd"), st.integers(0, 1 << 16), st.booleans()),
+    st.tuples(st.just("readd"), st.integers(0, 1 << 16), _variants),
     st.tuples(st.sampled_from(["modify", "delete"]), _mod_specs, st.integers(1, 3),
               _cookies, _cookie_masks),
     st.tuples(st.just("redo"), st.sampled_from(["modify", "delete"]),
-              st.integers(0, 1 << 16), st.booleans(), _cookies, _cookie_masks),
+              st.integers(0, 1 << 16), _variants, _cookies, _cookie_masks),
     st.tuples(st.just("delete_wide"), _mod_specs, _cookies, _cookie_masks),
     st.tuples(st.just("expire"), st.sampled_from([0.5, 1.0, 2.0])),
     st.tuples(st.just("lookup"), st.fixed_dictionaries(
@@ -372,25 +373,38 @@ def _out(port):
     return (m.ApplyActions((m.OutputAction(port),)),)
 
 
-def _rewritten(match):
-    """The same match with its fields listed in the other order."""
-    return MatchSet(list(match)[::-1])
+def _variant(match, how):
+    """``match`` itself, the same match with its fields listed in the other
+    order, or a different match that a broken index could take for it: an
+    exact ``ipv4_dst`` swapped with one under an all-ones mask, or the
+    unknown field added or dropped."""
+    fields = list(match)
+    if how == "reversed":
+        return MatchSet(fields[::-1])
+    if how == "unknown":
+        return MatchSet([f for f in fields if f != _UNKNOWN] if _UNKNOWN in fields
+                        else fields + [_UNKNOWN])
+    if how == "mask":
+        return MatchSet(OxmField(f.oxm_class, f.field_id, f.value,
+                                 None if f.mask == _FULL_MASK else _FULL_MASK)
+                        if f.name == "ipv4_dst" and f.mask in (None, _FULL_MASK) else f
+                        for f in fields)
+    return match
 
 
 def _resolve(op, rows):
     """A concrete ``(kind, match, ...)`` op; ``readd`` and ``redo`` aim at
-    an existing row, whose match may be written in the other field order."""
+    an existing row's priority and a variant of its match."""
     kind = op[0]
     if kind in ("add", "modify", "delete", "delete_wide"):
         return (kind, build_mod_match(op[1])) + op[2:]
     if kind == "readd" and rows:
         row = rows[op[1] % len(rows)]
-        match = _rewritten(row.match) if op[2] else row.match
-        return ("add", match, row.priority, row.cookie, (row.idle, row.hard))
+        return ("add", _variant(row.match, op[2]), row.priority, row.cookie,
+                (row.idle, row.hard))
     if kind == "redo" and rows:
         row = rows[op[2] % len(rows)]
-        match = _rewritten(row.match) if op[3] else row.match
-        return (op[1], match, row.priority) + op[4:]
+        return (op[1], _variant(row.match, op[3]), row.priority) + op[4:]
     return op if kind in ("expire", "lookup") else None
 
 
