@@ -81,6 +81,23 @@ _SET_STAGE = {
 }
 
 
+def _forwarding(entries: list[FlowEntry], out_port: int, out_group: int) -> list[FlowEntry]:
+    """The entries that hold an output action to ``out_port`` and a group
+    action to ``out_group``, as flow stats and deletes ask (OpenFlow 1.3
+    §A.3.4.1); ``OFPP_ANY`` and ``OFPG_ANY`` ask for nothing."""
+    if out_port == m.OFPP_ANY and out_group == m.OFPG_ANY:
+        return entries
+    out = []
+    for e in entries:
+        actions = [a for i in e.instructions if isinstance(i, (m.ApplyActions, m.WriteActions))
+                   for a in i.actions]
+        ports = {a.port for a in actions if isinstance(a, m.OutputAction)}
+        if ((out_port == m.OFPP_ANY or out_port in ports)
+                and (out_group == m.OFPG_ANY or m.GroupAction(out_group) in actions)):
+            out.append(e)
+    return out
+
+
 class Datapath:
     def __init__(self, datapath_id: int = 1, n_tables: int = DEFAULT_N_TABLES,
                  clock=None, n_buffers: int = 0):
@@ -157,7 +174,10 @@ class Datapath:
             else:
                 tables = [self._table(fm.table_id)]
             for table in tables:
-                for e in table.select(fm.match, strict, fm.priority, fm.cookie, fm.cookie_mask):
+                if not table.entries:
+                    continue
+                for e in _forwarding(table.select(fm.match, strict, fm.priority, fm.cookie,
+                                                  fm.cookie_mask), fm.out_port, fm.out_group):
                     table.remove(e)
                     self._notify_removed(e, m.OFPRR_DELETE, table.table_id)
             return
@@ -475,8 +495,11 @@ class Datapath:
             tables = [self._table(req.table_id)]
         out = []
         for table in tables:
-            for e in table.select(req.match, False, cookie=req.cookie,
-                                  cookie_mask=req.cookie_mask):
+            if not table.entries:
+                continue
+            for e in _forwarding(table.select(req.match, False, cookie=req.cookie,
+                                              cookie_mask=req.cookie_mask),
+                                 req.out_port, req.out_group):
                 dur = max(0.0, now - e.install_time)
                 out.append(
                     m.FlowStats(

@@ -16,9 +16,10 @@ because a tie at equal priority goes to the lowest insertion sequence
 know is named by its ``(oxm_class, field_id)``, which no packet field map
 holds, so an entry naming one never matches.
 
-Non-strict selection, overlap and expiry are linear scans of the list.
-``timeout_reason`` is the one rule for when a timer has run out, shared
-by flow entries and state entries.
+Non-strict selection and the overlap check decide per subtable, from its
+signature, whether its entries can qualify, and only then test its keys.
+Expiry is a linear scan of the list.  ``timeout_reason`` is the one rule
+for when a timer has run out, shared by flow entries and state entries.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ class FlowEntry:
 
 
 _field_order = attrgetter("oxm_class", "field_id")
+_priority = attrgetter("priority")
 
 
 def _compile(match: MatchSet) -> tuple[tuple, tuple]:
@@ -111,27 +113,42 @@ def _order(e: FlowEntry) -> tuple:
 
 
 class _Subtable:
-    """The entries of one signature, bucketed by key; each bucket is in
-    table order, and ``priorities`` counts the entries at each priority."""
+    """The entries of one signature, by key.  ``top`` holds each key's
+    highest-priority entry, the one a lookup wants; a key holds at most one
+    entry per priority, and one that holds more keeps them all in
+    ``shared``, in ascending priority order.  ``priorities`` counts the
+    entries at each priority."""
 
-    __slots__ = ("signature", "buckets", "priorities", "max_priority")
+    __slots__ = ("signature", "positions", "top", "shared", "priorities", "max_priority")
 
     def __init__(self, signature: tuple):
         self.signature = signature
-        self.buckets: dict[tuple, tuple[FlowEntry, ...]] = {}
+        self.positions = {name: i for i, (name, _, _) in enumerate(signature)}
+        self.top: dict[tuple, FlowEntry] = {}
+        self.shared: dict[tuple, list[FlowEntry]] = {}
         self.priorities: dict[int, int] = {}
         self.max_priority = 0
 
     def find(self, key: tuple, priority: int) -> FlowEntry | None:
-        """The entry with this key and priority; a table holds at most one."""
-        for e in self.buckets.get(key, ()):
-            if e.priority == priority:
-                return e
-        return None
+        """The entry with this key and priority."""
+        e = self.top.get(key)
+        if e is None or e.priority == priority:
+            return e
+        group = self.shared.get(key, ())
+        i = bisect.bisect_left(group, priority, key=_priority)
+        return group[i] if i < len(group) and group[i].priority == priority else None
 
     def add(self, key: tuple, entry: FlowEntry) -> bool:
         """File the entry; True when the highest priority rose."""
-        self.buckets[key] = tuple(sorted(self.buckets.get(key, ()) + (entry,), key=_order))
+        top = self.top.get(key)
+        if top is None:
+            self.top[key] = entry
+        else:
+            group = self.shared.get(key)
+            if group is None:
+                group = self.shared[key] = [top]
+            bisect.insort(group, entry, key=_priority)
+            self.top[key] = group[-1]
         p = entry.priority
         self.priorities[p] = self.priorities.get(p, 0) + 1
         if p > self.max_priority:
@@ -141,12 +158,15 @@ class _Subtable:
 
     def discard(self, key: tuple, entry: FlowEntry) -> bool:
         """Drop the entry; True when the highest priority fell."""
-        bucket = tuple(e for e in self.buckets[key] if e is not entry)
-        if bucket:
-            self.buckets[key] = bucket
-        else:
-            del self.buckets[key]
         p = entry.priority
+        group = self.shared.get(key)
+        if group is None:
+            del self.top[key]
+        else:
+            del group[bisect.bisect_left(group, p, key=_priority)]
+            self.top[key] = group[-1]
+            if len(group) == 1:
+                del self.shared[key]
         left = self.priorities.pop(p) - 1
         if left:
             self.priorities[p] = left
@@ -154,6 +174,42 @@ class _Subtable:
             self.max_priority = max(self.priorities, default=0)
             return True
         return False
+
+    def keys(self, request: tuple[tuple, tuple], subset: bool) -> list[tuple]:
+        """The keys a compiled request picks: with ``subset``, those whose
+        entries lie inside it; without, those whose entries overlap it (the
+        fields both sides name agree under both masks).  None passes where a
+        field both name differs in width, nor, with ``subset``, where the
+        request names a field the signature lacks or masks a bit it frees."""
+        tests = []  # (position, mask, value, exact); mask None: the key holds value
+        for (name, mask, nbytes), value in zip(*request):
+            i = self.positions.get(name)
+            if i is None:
+                if subset:
+                    return []
+                continue
+            _, own, width = self.signature[i]
+            full = (1 << 8 * width) - 1 if own is None else own
+            if mask is None:
+                mask, value = (1 << 8 * nbytes) - 1, int.from_bytes(value, "big")
+            if width != nbytes or subset and full & mask != mask:
+                return []
+            mask &= full
+            value &= mask
+            if mask == full:
+                tests.append((i, None, value.to_bytes(width, "big") if own is None else value,
+                              False))
+            else:
+                tests.append((i, mask, value, own is None))
+        keys = self.top
+        for i, mask, value, exact in tests:  # each test narrows the keys
+            if mask is None:
+                keys = [k for k in keys if k[i] == value]
+            elif exact:
+                keys = [k for k in keys if int.from_bytes(k[i], "big") & mask == value]
+            else:
+                keys = [k for k in keys if k[i] & mask == value]
+        return list(keys)
 
 
 class FlowTable:
@@ -187,7 +243,7 @@ class FlowTable:
         signature, key = _compile(entry.match)
         sub = self._subtables[signature]
         if sub.discard(key, entry):
-            if not sub.buckets:
+            if not sub.top:
                 del self._subtables[signature]
             self._probe_order = None
 
@@ -223,13 +279,11 @@ class FlowTable:
                     raw = int.from_bytes(raw, "big") & mask
                 key.append(raw)
             else:
-                bucket = sub.buckets.get(tuple(key))
-                if bucket is not None:
-                    e = bucket[0]
-                    if (best is None or e.priority > best.priority
-                            or (e.priority == best.priority
-                                and e.insertion_seq < best.insertion_seq)):
-                        best = e
+                e = sub.top.get(tuple(key))
+                if e is not None and (best is None or e.priority > best.priority
+                                      or (e.priority == best.priority
+                                          and e.insertion_seq < best.insertion_seq)):
+                    best = e
         if best is not None:
             best.packet_count += 1
             best.byte_count += pkt_len
@@ -239,7 +293,10 @@ class FlowTable:
 
     def select(self, match: MatchSet, strict: bool, priority: int = 0,
                cookie: int = 0, cookie_mask: int = 0) -> list[FlowEntry]:
-        """Entries a non-strict/strict flow-mod refers to."""
+        """Entries a flow-mod or stats request refers to, in table order:
+        with ``strict``, the one entry of this match and priority; without,
+        every entry whose match lies inside ``match``.  Only entries whose
+        cookie agrees with ``cookie`` under ``cookie_mask`` count."""
         if strict:
             signature, key = _compile(match)
             sub = self._subtables.get(signature)
@@ -247,19 +304,32 @@ class FlowTable:
             if e is None or cookie_mask and (e.cookie ^ cookie) & cookie_mask:
                 return []
             return [e]
-        out = []
-        for e in self.entries:
-            if cookie_mask and (e.cookie ^ cookie) & cookie_mask:
-                continue
-            if e.match.is_subset_of(match):
-                out.append(e)
+        if not len(match):  # every entry, already in table order
+            out = list(self.entries)
+        else:
+            request = _compile(match)
+            out = []
+            for sub in self._subtables.values():
+                for key in sub.keys(request, True):
+                    out += sub.shared.get(key) or (sub.top[key],)
+            out.sort(key=_order)
+        if cookie_mask:
+            out = [e for e in out if not (e.cookie ^ cookie) & cookie_mask]
         return out
 
     def find_overlap(self, match: MatchSet, priority: int) -> FlowEntry | None:
-        for e in self.entries:
-            if e.priority == priority and e.match.overlaps(match):
-                return e
-        return None
+        """The first entry in table order at ``priority`` that one packet
+        could match together with ``match``."""
+        request = _compile(match)
+        best = None
+        for sub in self._subtables.values():
+            if priority not in sub.priorities:
+                continue
+            for key in sub.keys(request, False):
+                e = sub.find(key, priority)
+                if e is not None and (best is None or e.insertion_seq < best.insertion_seq):
+                    best = e
+        return best
 
     def expired_entries(self, now: float) -> list[FlowEntry]:
         return [e for e in self.entries if e.expired(now)]

@@ -256,39 +256,6 @@ class MatchSet:
                 return False
         return True
 
-    def is_subset_of(self, wider: "MatchSet") -> bool:
-        """True when self matches at most the packets ``wider`` matches.
-
-        Used for non-strict flow-mod selection: every field of ``wider`` must
-        be present here with an equal-or-narrower mask and agreeing bits.
-        """
-        for wf in wider:
-            mine = self._fields.get((wf.oxm_class, wf.field_id))
-            if mine is None:
-                return False
-            wmask = wf.mask if wf.mask is not None else b"\xff" * len(wf.value)
-            mmask = mine.mask if mine.mask is not None else b"\xff" * len(mine.value)
-            for mm, wm, mv, wv in zip(mmask, wmask, mine.value, wf.value):
-                if (mm & wm) != wm:  # mine must constrain every bit wider constrains
-                    return False
-                if (mv & wm) != (wv & wm):
-                    return False
-        return True
-
-    def overlaps(self, other: "MatchSet") -> bool:
-        """True when one packet could satisfy both match sets."""
-        for f in self:
-            of = other._fields.get((f.oxm_class, f.field_id))
-            if of is None:
-                continue
-            fmask = f.mask if f.mask is not None else b"\xff" * len(f.value)
-            omask = of.mask if of.mask is not None else b"\xff" * len(of.value)
-            for fm, om, fv, ov in zip(fmask, omask, f.value, of.value):
-                common = fm & om
-                if (fv & common) != (ov & common):
-                    return False
-        return True
-
     def validate_prerequisites(self) -> None:
         """Raise BadMatch when a field's prerequisite is absent or wrong."""
         for f in self:

@@ -10,6 +10,8 @@ from ofswitch.errors import BadInstruction, BadTableId, OverlapError
 from ofswitch.flowtable import FlowEntry, FlowTable
 from ofswitch.oxm import OFPXMC_OPENFLOW_BASIC, MatchSet, OxmField, make_field
 
+from match_oracle import is_subset_of, overlaps
+
 
 def entry(priority, seq, pairs=None, **kw):
     return FlowEntry(MatchSet.from_pairs(pairs or {}), priority, [],
@@ -316,32 +318,74 @@ _IP4 = make_field("eth_type", 0x0800)
 def build_mod_match(spec):
     """A match from ``(port, addr, addr_mask, unknown, reverse)``: an
     ``ipv4_dst`` (with its ``eth_type`` prerequisite) exact, under an
-    all-ones mask or under a /24 mask, an ``in_port``, the unknown field,
-    listed forwards or backwards."""
+    all-ones mask or under a /24 mask, an ``in_port``, the unknown field
+    one or two bytes wide, listed forwards or backwards."""
     port, addr, addr_mask, unknown, reverse = spec
     fields = []
     if addr is not None:
         fields += [_IP4, make_field("ipv4_dst", addr, addr_mask)]
     if port is not None:
         fields.append(make_field("in_port", port))
-    if unknown:
-        fields.append(_UNKNOWN)
+    if unknown is not None:
+        fields.append(unknown)
     return MatchSet(fields[::-1] if reverse else fields)
+
+
+# the unknown field again, two bytes wide: a different field from ``_UNKNOWN``,
+# though each of its bytes agrees with it
+_UNKNOWN_WIDE = OxmField(OFPXMC_OPENFLOW_BASIC, 99, b"\x01\x01")
+_WIDTH_SWAP = {_UNKNOWN: _UNKNOWN_WIDE, _UNKNOWN_WIDE: _UNKNOWN}
 
 
 _mod_specs = st.tuples(
     st.sampled_from([None] + _PORTS),
     st.sampled_from([None] + _ADDRS[:2]),
     st.sampled_from([None, _FULL_MASK, _prefix_mask(24)]),
-    st.sampled_from([False] * 9 + [True]),
+    st.sampled_from([None] * 8 + [_UNKNOWN, _UNKNOWN_WIDE]),
     st.booleans(),
 )
 _cookies = st.sampled_from([0x10, 0x11, 0x20])
-_variants = st.sampled_from(["same", "reversed", "mask", "unknown"])
+_variants = st.sampled_from(["same", "reversed", "mask", "unknown", "wide"])
 _cookie_masks = st.sampled_from([0, 0xF0, 0xFF])
+_MASKS = [None, _FULL_MASK, _prefix_mask(31), _prefix_mask(24), _prefix_mask(16),
+          _prefix_mask(0)]
+
+
+def build_request(spec):
+    """A non-strict request from ``(port, eth_type, addr, addr_mask,
+    unknown, reverse)``: any subset of the fields entries use, without
+    prerequisites, ``ipv4_dst`` exact or under a mask from all ones to none,
+    and either width of the unknown field."""
+    port, eth_type, addr, addr_mask, unknown, reverse = spec
+    fields = []
+    if eth_type:
+        fields.append(_IP4)
+    if addr is not None:
+        fields.append(make_field("ipv4_dst", addr, addr_mask))
+    if port is not None:
+        fields.append(make_field("in_port", port))
+    if unknown is not None:
+        fields.append(unknown)
+    return MatchSet(fields[::-1] if reverse else fields)
+
+
+_request_specs = st.tuples(
+    st.sampled_from([None] * 2 + _PORTS),
+    st.booleans(),
+    st.sampled_from([None] + _ADDRS[:3]),
+    st.sampled_from(_MASKS),
+    st.sampled_from([None] * 3 + [_UNKNOWN, _UNKNOWN_WIDE]),
+    st.booleans(),
+)
+_out_ports = st.one_of(st.none(), st.integers(0, 1 << 16))  # None: OFPP_ANY; else a row's port
+_out_groups = st.sampled_from([m.OFPG_ANY] * 2 + [1, 2])
 _mod_ops = st.one_of(
     st.tuples(st.just("add"), _mod_specs, st.integers(1, 3), _cookies,
               st.sampled_from([(0, 0), (0, 2), (1, 0), (3, 5)])),  # (idle, hard)
+    st.tuples(st.just("add_checked"), _mod_specs, st.integers(1, 3), _cookies),
+    st.tuples(st.just("wide"), st.sampled_from(["stats", "modify", "delete"]), _request_specs,
+              _cookies, _cookie_masks, _out_ports, _out_groups, st.booleans()),
+    st.tuples(st.just("delete_out"), st.integers(0, 1 << 16), _out_ports, _out_groups),
     st.tuples(st.just("readd"), st.integers(0, 1 << 16), _variants),
     st.tuples(st.sampled_from(["modify", "delete"]), _mod_specs, st.integers(1, 3),
               _cookies, _cookie_masks),
@@ -370,20 +414,31 @@ def _picked(row, cookie, cookie_mask):
 
 
 def _out(port):
-    return (m.ApplyActions((m.OutputAction(port),)),)
+    """Output to ``port``, and to group ``port % 3`` unless that is 0."""
+    group = (m.GroupAction(port % 3),) if port % 3 else ()
+    return (m.ApplyActions((m.OutputAction(port),) + group),)
+
+
+def _forwards(row, out_port, out_group):
+    """Whether a row holds an output to ``out_port`` and a group action
+    to ``out_group``, either of which may be ANY."""
+    return ((out_port == m.OFPP_ANY or row.port == out_port)
+            and (out_group == m.OFPG_ANY or row.port % 3 == out_group))
 
 
 def _variant(match, how):
     """``match`` itself, the same match with its fields listed in the other
     order, or a different match that a broken index could take for it: an
-    exact ``ipv4_dst`` swapped with one under an all-ones mask, or the
-    unknown field added or dropped."""
+    exact ``ipv4_dst`` swapped with one under an all-ones mask, the
+    unknown field added or dropped, or swapped for its other width."""
     fields = list(match)
     if how == "reversed":
         return MatchSet(fields[::-1])
+    if how == "wide":
+        return MatchSet([_WIDTH_SWAP.get(f, f) for f in fields])
     if how == "unknown":
-        return MatchSet([f for f in fields if f != _UNKNOWN] if _UNKNOWN in fields
-                        else fields + [_UNKNOWN])
+        known = [f for f in fields if f not in _WIDTH_SWAP]
+        return MatchSet(known if len(known) < len(fields) else fields + [_UNKNOWN])
     if how == "mask":
         return MatchSet(OxmField(f.oxm_class, f.field_id, f.value,
                                  None if f.mask == _FULL_MASK else _FULL_MASK)
@@ -396,8 +451,15 @@ def _resolve(op, rows):
     """A concrete ``(kind, match, ...)`` op; ``readd`` and ``redo`` aim at
     an existing row's priority and a variant of its match."""
     kind = op[0]
-    if kind in ("add", "modify", "delete", "delete_wide"):
+    if kind in ("add", "add_checked", "modify", "delete", "delete_wide"):
         return (kind, build_mod_match(op[1])) + op[2:]
+    if kind == "wide":
+        out_port = m.OFPP_ANY if op[5] is None or not rows else rows[op[5] % len(rows)].port
+        return (kind, op[1], build_request(op[2])) + op[3:5] + (out_port,) + op[6:]
+    if kind == "delete_out" and rows:
+        row = rows[op[1] % len(rows)]
+        out_port = m.OFPP_ANY if op[2] is None else rows[op[2] % len(rows)].port
+        return (kind, row.match, row.priority, out_port, op[3])
     if kind == "readd" and rows:
         row = rows[op[1] % len(rows)]
         return ("add", _variant(row.match, op[2]), row.priority, row.cookie,
@@ -408,11 +470,24 @@ def _resolve(op, rows):
     return op if kind in ("expire", "lookup") else None
 
 
-@given(ops=st.lists(_mod_ops, min_size=1, max_size=60))
+# wide requests that pick many entries, checked after every step
+_PROBES = [MatchSet([_IP4]), MatchSet([make_field("ipv4_dst", _ADDRS[0], _prefix_mask(16))]),
+           MatchSet([make_field("in_port", _PORTS[0])]), MatchSet([_UNKNOWN]),
+           MatchSet([_UNKNOWN_WIDE])]
+# a table of a few entries first, so that wide requests pick several
+_fill = st.lists(st.tuples(st.just("add"), _mod_specs, st.integers(1, 3), _cookies,
+                           st.just((0, 0))), min_size=4, max_size=24)
+
+
+@given(ops=_fill.flatmap(lambda fill: st.lists(_mod_ops, min_size=1, max_size=60).map(
+    lambda ops: fill + ops)))
 @settings(max_examples=300, deadline=None)
 def test_flow_mods_equal_linear_scan(ops):
     now = [0.0]
     dp = Datapath(n_tables=1, clock=lambda: now[0])
+    for group_id in (1, 2):
+        dp.group_mod(m.GroupMod(m.OFPGC_ADD, m.OFPGT_INDIRECT, group_id,
+                                [m.Bucket([m.OutputAction(1)])]))
     table = dp.tables[0]
     rows: list[_Row] = []  # in table order
     seq = port = 0
@@ -457,10 +532,54 @@ def test_flow_mods_equal_linear_scan(ops):
                                   instructions=_out(port)))
         elif kind == "delete_wide":
             _, match, cookie, cookie_mask = op
-            rows = [r for r in rows if not (r.match.is_subset_of(match)
+            rows = [r for r in rows if not (is_subset_of(r.match, match)
                                             and _picked(r, cookie, cookie_mask))]
             dp.flow_mod(m.FlowMod(command=m.OFPFC_DELETE, match=match, cookie=cookie,
                                   cookie_mask=cookie_mask))
+        elif kind == "add_checked":
+            _, match, priority, cookie = op
+            seq += 1  # a rejected ADD uses up its sequence number too
+            port += 1
+            fm = m.FlowMod(command=m.OFPFC_ADD, match=match, priority=priority, cookie=cookie,
+                           flags=m.OFPFF_CHECK_OVERLAP, instructions=_out(port))
+            if any(r.priority == priority and overlaps(r.match, match) for r in rows):
+                with pytest.raises(OverlapError):
+                    dp.flow_mod(fm)
+            else:
+                rows.append(_Row(match, priority, seq, cookie, (0, 0), now[0], port))
+                rows.sort(key=lambda r: (-r.priority, r.seq))
+                dp.flow_mod(fm)
+        elif kind == "wide":
+            _, how, match, cookie, cookie_mask, out_port, out_group, all_tables = op
+            picked = [r for r in rows if is_subset_of(r.match, match)
+                      and _picked(r, cookie, cookie_mask)]
+            table_id = m.OFPTT_ALL if all_tables and how != "modify" else 0
+            if how == "stats":
+                got = dp.flow_stats(m.FlowStatsRequest(table_id, out_port, out_group, cookie,
+                                                       cookie_mask, match))
+                want = [r for r in picked if _forwards(r, out_port, out_group)]
+                assert [(s.priority, s.cookie, s.instructions) for s in got] \
+                    == [(r.priority, r.cookie, _out(r.port)) for r in want]
+                assert all(s.match == r.match for s, r in zip(got, want))
+            elif how == "modify":  # out_port and out_group do not apply
+                port += 1
+                for r in picked:
+                    r.port = port
+                dp.flow_mod(m.FlowMod(command=m.OFPFC_MODIFY, match=match, cookie=cookie,
+                                      cookie_mask=cookie_mask, out_port=out_port,
+                                      out_group=out_group, instructions=_out(port)))
+            else:
+                gone = [r for r in picked if _forwards(r, out_port, out_group)]
+                rows = [r for r in rows if r not in gone]
+                dp.flow_mod(m.FlowMod(command=m.OFPFC_DELETE, table_id=table_id, match=match,
+                                      cookie=cookie, cookie_mask=cookie_mask,
+                                      out_port=out_port, out_group=out_group))
+        elif kind == "delete_out":
+            _, match, priority, out_port, out_group = op
+            rows = [r for r in rows if not (r.priority == priority and r.match == match
+                                            and _forwards(r, out_port, out_group))]
+            dp.flow_mod(m.FlowMod(command=m.OFPFC_DELETE_STRICT, match=match, priority=priority,
+                                  out_port=out_port, out_group=out_group))
         elif kind == "expire":
             now[0] += op[1]
             rows = [r for r in rows if not (r.hard and now[0] - r.installed >= r.hard
@@ -476,6 +595,14 @@ def test_flow_mods_equal_linear_scan(ops):
         assert [(e.priority, e.insertion_seq, e.cookie, e.instructions) for e in table.entries] \
             == [(r.priority, r.seq, r.cookie, _out(r.port)) for r in rows]
         assert all(e.match == r.match for e, r in zip(table.entries, rows))
+        for probe in _PROBES:
+            assert [e.insertion_seq for e in table.select(probe, False)] \
+                == [r.seq for r in rows if is_subset_of(r.match, probe)]
+            for priority in (1, 2, 3):
+                got = table.find_overlap(probe, priority)
+                assert (got and got.insertion_seq) == next(
+                    (r.seq for r in rows if r.priority == priority and overlaps(r.match, probe)),
+                    None)
 
 
 def test_flow_mods_call_no_match_comparison(monkeypatch):
@@ -505,3 +632,91 @@ def test_flow_mods_call_no_match_comparison(monkeypatch):
     t.remove(new)
     assert len(t) == 9_999
     assert calls == []
+
+
+class _CountedEntry(FlowEntry):
+    """A flow entry that counts how often its priority is read."""
+
+    __slots__ = ()
+    reads = 0
+
+    @property
+    def priority(self):
+        _CountedEntry.reads += 1
+        return FlowEntry.priority.__get__(self)
+
+    @priority.setter
+    def priority(self, value):
+        FlowEntry.priority.__set__(self, value)
+
+
+def test_one_match_at_many_priorities_costs_no_walk_of_its_key():
+    """Entries that share one match share one key; adding, finding and
+    removing one of them must not read every other entry at that key."""
+    n = 3_000
+    t = FlowTable(0)
+    match = MatchSet.from_pairs({"eth_type": 0x0800})
+    _CountedEntry.reads = 0
+    for p in range(n):
+        t.insert(_CountedEntry(match, p, [], insertion_seq=p))
+    for p in reversed(range(n)):  # each removal takes the key's top entry
+        (e,) = t.select(match, True, p)
+        t.remove(e)
+    assert len(t) == 0
+    assert _CountedEntry.reads < 100 * n
+
+
+# -- out_port and out_group ---------------------------------------------------------
+
+def _two_flows():
+    """A 1-table switch with a flow to port 1 at priority 10, one to
+    port 2 (with a max_len) at 20, and one to group 7 at 30."""
+    dp = Datapath(n_tables=1, clock=lambda: 0.0)
+    dp.group_mod(m.GroupMod(m.OFPGC_ADD, m.OFPGT_INDIRECT, 7, [m.Bucket([m.OutputAction(3)])]))
+    for priority, action in ((10, m.OutputAction(1)), (20, m.OutputAction(2, 128))):
+        dp.flow_mod(m.FlowMod(command=m.OFPFC_ADD, priority=priority,
+                              match=MatchSet.from_pairs({"in_port": action.port}),
+                              instructions=[m.ApplyActions([action])]))
+    dp.flow_mod(m.FlowMod(command=m.OFPFC_ADD, priority=30,
+                          match=MatchSet.from_pairs({"in_port": 3}),
+                          instructions=[m.WriteActions([m.GroupAction(7)])]))
+    return dp
+
+
+def _priorities(dp, **kw):
+    return [s.priority for s in dp.flow_stats(m.FlowStatsRequest(0, **kw))]
+
+
+def test_flow_stats_keep_only_flows_to_out_port_and_out_group():
+    dp = _two_flows()
+    assert _priorities(dp) == [30, 20, 10]
+    assert _priorities(dp, out_port=2) == [20]
+    assert _priorities(dp, out_port=5) == []
+    assert _priorities(dp, out_group=7) == [30]
+    assert _priorities(dp, out_port=2, out_group=7) == []
+
+
+def test_delete_keeps_flows_not_to_out_port_or_out_group():
+    dp = _two_flows()
+    dp.flow_mod(m.FlowMod(command=m.OFPFC_DELETE, out_port=2))
+    assert _priorities(dp) == [30, 10]
+    dp.flow_mod(m.FlowMod(command=m.OFPFC_DELETE, out_group=8))
+    assert _priorities(dp) == [30, 10]
+    dp.flow_mod(m.FlowMod(command=m.OFPFC_DELETE, table_id=m.OFPTT_ALL, out_group=7))
+    assert _priorities(dp) == [10]
+
+
+def test_delete_strict_keeps_a_flow_not_to_out_port():
+    dp = _two_flows()
+    match = MatchSet.from_pairs({"in_port": 2})
+    dp.flow_mod(m.FlowMod(command=m.OFPFC_DELETE_STRICT, match=match, priority=20, out_port=1))
+    assert _priorities(dp) == [30, 20, 10]
+    dp.flow_mod(m.FlowMod(command=m.OFPFC_DELETE_STRICT, match=match, priority=20, out_port=2))
+    assert _priorities(dp) == [30, 10]
+
+
+def test_modify_ignores_out_port():
+    dp = _two_flows()
+    ins = (m.ApplyActions((m.OutputAction(4),)),)
+    dp.flow_mod(m.FlowMod(command=m.OFPFC_MODIFY, instructions=ins, out_port=5, out_group=9))
+    assert all(e.instructions == ins for e in dp.tables[0].entries)
